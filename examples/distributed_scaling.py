@@ -4,7 +4,7 @@
 Runs the simulated distributed RCM on one suite surrogate across the
 paper's core counts, printing the five-way runtime breakdown and the
 SpMSpV computation/communication split — a self-contained version of
-what `repro-bench fig4`/`fig5` do for the full suite.
+what `repro-bench run fig4`/`fig5` do for the full suite.
 
 Run:  python examples/distributed_scaling.py [matrix-name] [scale]
       (matrix defaults to 'nd24k'; see repro.matrices.PAPER_SUITE)

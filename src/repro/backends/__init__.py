@@ -11,8 +11,9 @@ from this registry, so swapping the kernel implementation is one call
 Three backends ship:
 
 * ``"numpy"`` — the pure-numpy reference (always available, the oracle);
-* ``"scipy"`` — scipy.sparse compiled gathers (registered only when
-  scipy imports cleanly);
+* ``"scipy"`` — the numpy reference with scipy.sparse's compiled pull
+  scan and ``(+, *)`` matvec (registered only when scipy imports
+  cleanly);
 * ``"numba"`` — JIT-compiled kernels with a threaded per-rank path
   (registered only when numba imports cleanly; configure with
   ``"numba:threads=N"``).
@@ -30,16 +31,13 @@ Resolution is explicit::
         ...  # kernel dispatch in this context uses scipy
 
 :func:`backend_scope` is a context-variable scope: it nests, is safe
-under asyncio, and never leaks across contexts.  The legacy
-process-global API (:func:`get_backend`, :func:`use_backend`,
-:func:`set_default_backend`) survives as thin deprecated shims.
+under asyncio, and never leaks across contexts.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import warnings
 from typing import Iterator
 
 from .base import KernelBackend
@@ -55,10 +53,6 @@ __all__ = [
     "backend_scope",
     "current_spec",
     "default_backend",
-    # deprecated aliases
-    "get_backend",
-    "set_default_backend",
-    "use_backend",
 ]
 
 _REGISTRY: dict[str, KernelBackend] = {}
@@ -68,15 +62,10 @@ _REGISTRY: dict[str, KernelBackend] = {}
 #: (and its warmed-up JIT state) instead of rebuilding it.
 _CONFIGURED: dict[str, KernelBackend] = {}
 
-#: Context-local default spec string; ``None`` falls through to the
-#: process-wide fallback below.
-_SCOPE: contextvars.ContextVar[str | None] = contextvars.ContextVar(
-    "repro_backend_scope", default=None
+#: Context-local default spec string (see :func:`backend_scope`).
+_SCOPE: contextvars.ContextVar[str] = contextvars.ContextVar(
+    "repro_backend_scope", default="numpy"
 )
-
-#: Process-wide fallback default, written only by the deprecated
-#: :func:`set_default_backend` shim (and at import time).
-_FALLBACK: str = "numpy"
 
 
 def register_backend(backend: KernelBackend, overwrite: bool = False) -> None:
@@ -97,8 +86,7 @@ def available_backends() -> list[str]:
 
 def default_backend() -> str:
     """Spec string of the currently-default backend (scope-aware)."""
-    scoped = _SCOPE.get()
-    return scoped if scoped is not None else _FALLBACK
+    return _SCOPE.get()
 
 
 def current_spec() -> BackendSpec:
@@ -190,47 +178,6 @@ def backend_scope(
         yield resolved
     finally:
         _SCOPE.reset(token)
-
-
-# ----------------------------------------------------------------------
-# Deprecated process-global API (thin shims, byte-stable behavior)
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.backends.{old} is deprecated; use repro.backends.{new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def set_default_backend(name: str) -> None:
-    """Deprecated: make ``name`` the process-wide default for dispatch.
-
-    Use :func:`backend_scope` for scoped selection instead.  This shim
-    writes the process-wide fallback *beneath* the context variable, so
-    an enclosing :func:`backend_scope` still wins.
-    """
-    global _FALLBACK
-    _deprecated("set_default_backend", "backend_scope")
-    resolve_backend(name)  # validate: KeyError/ValueError as before
-    _FALLBACK = name
-
-
-def get_backend(which: str | KernelBackend | None = None) -> KernelBackend:
-    """Deprecated alias of :func:`resolve_backend` (same resolution rules)."""
-    _deprecated("get_backend", "resolve_backend")
-    return resolve_backend(which)
-
-
-@contextlib.contextmanager
-def use_backend(name: str) -> Iterator[KernelBackend]:
-    """Deprecated: temporarily switch the default backend.
-
-    Delegates to :func:`backend_scope`; kept for callers of the PR1 API.
-    """
-    _deprecated("use_backend", "backend_scope")
-    with backend_scope(name) as resolved:
-        yield resolved
 
 
 register_backend(NumpyBackend())

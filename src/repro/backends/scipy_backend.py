@@ -1,12 +1,14 @@
 """scipy.sparse-backed kernel backend.
 
-Delegates the structural heavy lifting — ragged column gathers, row
-slicing, and the conventional ``(+, *)`` product — to scipy's compiled
-CSC/CSR routines, then applies the semiring multiply/reduce on the
-gathered segments.  scipy matrix handles are built once per
-:class:`~repro.sparse.csc.CSCMatrix` / :class:`~repro.sparse.csr.CSRMatrix`
-instance and memoized in the matrix's ``_cache``, so repeated kernel
-calls on the same operand (every BFS sweep) pay no conversion cost.
+Overrides only the two kernels where scipy's compiled CSR routines beat
+the numpy reference (DESIGN.md §5 has the measurements): the masked pull
+SpMSpV, whose candidate-row slice scipy gathers natively, and the
+``(+, *)`` dense SpMV, which *is* scipy's matvec.  Every other kernel is
+inherited from :class:`~repro.backends.numpy_backend.NumpyBackend`.  The
+scipy matrix handle is built once per
+:class:`~repro.sparse.csr.CSRMatrix` instance and memoized in the
+matrix's ``_cache``, so repeated kernel calls on the same operand (every
+BFS sweep) pay no conversion cost.
 
 Importing this module raises ``ImportError`` when scipy is absent; the
 registry in :mod:`repro.backends` gates on that, so environments without
@@ -19,27 +21,12 @@ import numpy as np
 import scipy.sparse as _sp
 
 from ..semiring.semiring import PLUS_TIMES, Semiring
-from ..semiring.spmspv import _group_reduce, spmspv_csr_numpy
-from ..sparse.csc import CSCMatrix
+from ..semiring.spmspv import _group_reduce
 from ..sparse.csr import CSRMatrix
 from ..sparse.spvector import SparseVector
-from .base import KernelBackend
-from .frontier import filtered_unique
+from .numpy_backend import NumpyBackend
 
 __all__ = ["ScipyBackend"]
-
-
-def _scipy_csc(A: CSCMatrix) -> "_sp.csc_matrix":
-    handle = A._cache.get("scipy_csc")
-    if handle is None:
-        handle = _sp.csc_matrix(
-            (A.data, A.indices, A.indptr), shape=(A.nrows, A.ncols)
-        )
-        # row indices are stored sorted ascending per column (class
-        # invariant) — record that so scipy skips its own re-sort
-        handle.has_sorted_indices = True
-        A._cache["scipy_csc"] = handle
-    return handle
 
 
 def _scipy_csr(A: CSRMatrix) -> "_sp.csr_matrix":
@@ -53,56 +40,10 @@ def _scipy_csr(A: CSRMatrix) -> "_sp.csr_matrix":
     return handle
 
 
-class ScipyBackend(KernelBackend):
-    """Kernels over scipy.sparse compiled gathers and products."""
+class ScipyBackend(NumpyBackend):
+    """The numpy reference with scipy's compiled pull scan and matvec."""
 
     name = "scipy"
-
-    def spmspv_csc(
-        self,
-        A: CSCMatrix,
-        x: SparseVector,
-        sr: Semiring,
-        mask: np.ndarray | None = None,
-    ) -> SparseVector:
-        if x.n != A.ncols:
-            raise ValueError("dimension mismatch between matrix and vector")
-        if x.nnz == 0:
-            return SparseVector.empty(A.nrows)
-
-        # compiled column gather: the selected columns' rows/values land
-        # in one CSC submatrix, rows sorted within each column — the same
-        # layout the numpy reference produces, so results are identical
-        sub = _scipy_csc(A)[:, x.indices]
-        sub.sort_indices()
-        rows = sub.indices.astype(np.int64, copy=False)
-        if rows.size == 0:
-            return SparseVector.empty(A.nrows)
-        avals = np.asarray(sub.data, dtype=np.float64)
-        seg_lens = np.diff(sub.indptr)
-        xvals = np.repeat(x.values, seg_lens)
-        products = np.asarray(sr.multiply(avals, xvals), dtype=np.float64)
-
-        if mask is not None:
-            keep = mask[rows]
-            rows, products = rows[keep], products[keep]
-            if rows.size == 0:
-                return SparseVector.empty(A.nrows)
-
-        uniq_rows, reduced = _group_reduce(rows, products, sr)
-        return SparseVector(A.nrows, uniq_rows, reduced)
-
-    def spmspv_csr(
-        self,
-        A: CSRMatrix,
-        x: SparseVector,
-        sr: Semiring,
-        mask: np.ndarray | None = None,
-    ) -> SparseVector:
-        # the row-major comparison kernel has no scipy formulation that
-        # preserves semiring generality (scipy fuses gather and (+, *)
-        # reduction); delegate to the numpy dense-scan reference
-        return spmspv_csr_numpy(A, x, sr, mask)
 
     def spmspv_pull(
         self,
@@ -144,53 +85,11 @@ class ScipyBackend(KernelBackend):
         return SparseVector(A.nrows, uniq_rows, reduced)
 
     def spmv_dense(self, A: CSRMatrix, x: np.ndarray, sr: Semiring) -> np.ndarray:
+        if sr is not PLUS_TIMES:
+            return super().spmv_dense(A, x, sr)
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (A.ncols,):
             raise ValueError("dimension mismatch")
-        if sr is PLUS_TIMES:
-            # scipy's native compiled matvec IS the (+, *) semiring, and
-            # its 0-for-empty-rows convention matches the add identity
-            return np.asarray(_scipy_csr(A) @ x, dtype=np.float64)
-        out = np.full(A.nrows, sr.add_identity, dtype=np.float64)
-        if A.nnz == 0:
-            return out
-        products = np.asarray(sr.multiply(A.data, x[A.indices]), dtype=np.float64)
-        uniq, reduced = _group_reduce(A.row_of_entry(), products, sr)
-        out[uniq] = reduced
-        return out
-
-    def expand_frontier(
-        self,
-        A: CSRMatrix,
-        frontier: np.ndarray,
-        unvisited: np.ndarray,
-    ) -> np.ndarray:
-        frontier = np.asarray(frontier, dtype=np.int64)
-        if frontier.size == 0:
-            return np.empty(0, dtype=np.int64)
-        # compiled row slice; its column indices are the neighbor multiset
-        sub = _scipy_csr(A)[frontier]
-        return filtered_unique(
-            sub.indices.astype(np.int64, copy=False), unvisited
-        )
-
-    def expand_frontier_pull(
-        self,
-        A: CSRMatrix,
-        frontier: np.ndarray,
-        unvisited: np.ndarray,
-    ) -> np.ndarray:
-        frontier = np.asarray(frontier, dtype=np.int64)
-        if frontier.size == 0:
-            return np.empty(0, dtype=np.int64)
-        cand = np.flatnonzero(unvisited).astype(np.int64)
-        if cand.size == 0:
-            return np.empty(0, dtype=np.int64)
-        in_frontier = np.zeros(A.ncols, dtype=bool)
-        in_frontier[frontier] = True
-        sub = _scipy_csr(A)[cand]
-        cols = sub.indices.astype(np.int64, copy=False)
-        if cols.size == 0:
-            return np.empty(0, dtype=np.int64)
-        rows = np.repeat(cand, np.diff(sub.indptr))
-        return np.unique(rows[in_frontier[cols]])
+        # scipy's native compiled matvec IS the (+, *) semiring, and its
+        # 0-for-empty-rows convention matches the add identity
+        return np.asarray(_scipy_csr(A) @ x, dtype=np.float64)

@@ -3,17 +3,16 @@
 The CLI (`repro-bench run ...`), the campaign orchestrator
 (:mod:`repro.bench.orchestrate`), and external callers all dispatch
 experiments through this module — never through ``harness`` internals.
-The per-experiment knob surface is a declarative table here
-(:data:`EXTRA_KNOBS`, :data:`SUITE_EXPERIMENTS`) instead of
-``inspect.signature`` probing: what each experiment accepts is an API
-contract, pinned by tests against the actual signatures, not something
-rediscovered per call.
+An experiment function's signature is the one declaration of its knobs
+(:func:`experiment_knobs`); nothing else lists what it accepts.
 
 Knob semantics
 --------------
-Every experiment takes ``scale`` / ``quick`` / ``names``.  The extra
-knobs apply only where the experiment implements them:
+Every experiment takes ``scale`` / ``quick``.  The other knobs apply
+only where the experiment's signature declares them:
 
+* ``names`` — the suite experiments, which loop over paper-suite
+  matrices (taking ``names`` is what makes an experiment one).
 * ``engine`` / ``procs`` — ``calibration`` only (real worker processes).
 * ``matrix`` — ``ingest`` only (a ``zoo:<name>`` or paper-suite spec).
 * ``direction`` — the strong-scaling sweeps ``fig4``/``fig5``/``fig6``
@@ -27,6 +26,7 @@ always errors, with the valid set in the message.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any
 
 from .harness import EXPERIMENTS
@@ -36,8 +36,7 @@ __all__ = [
     "run",
     "normalize_kwargs",
     "resolve_backend_spec",
-    "EXTRA_KNOBS",
-    "SUITE_EXPERIMENTS",
+    "experiment_knobs",
     "KNOWN_ENGINES",
     "KNOWN_DIRECTIONS",
 ]
@@ -47,41 +46,6 @@ KNOWN_ENGINES = ("simulated", "processes")
 
 #: SpMSpV traversal directions of direction-aware experiments.
 KNOWN_DIRECTIONS = ("push", "pull", "adaptive")
-
-#: Extra keyword arguments each experiment accepts beyond the universal
-#: knobs — ``scale``/``quick``/``names`` plus ``backend`` (a spec
-#: string applied by :func:`run` as a scope around *any* experiment, so
-#: it never appears per-experiment here).  This table *is* the dispatch
-#: contract — tests pin it against the harness signatures.
-EXTRA_KNOBS: dict[str, frozenset[str]] = {
-    "calibration": frozenset({"engine", "procs"}),
-    "ingest": frozenset({"matrix"}),
-    "fig4": frozenset({"direction"}),
-    "fig5": frozenset({"direction"}),
-    "fig6": frozenset({"direction"}),
-}
-
-#: Experiments whose matrix set follows ``names`` (the ``_suite_names``
-#: convention).  The others run a fixed input: fig1 (thermal2 CG),
-#: fig6 (ldoor), gather (nlpkkt240), skyline, service (workload mix),
-#: ingest (via ``matrix`` spec instead).
-SUITE_EXPERIMENTS = frozenset(
-    {
-        "fig3",
-        "table2",
-        "fig4",
-        "fig5",
-        "sort-ablation",
-        "csc-ablation",
-        "backend-ablation",
-        "driver-overhead",
-        "direction",
-        "balance-ablation",
-        "semiring-ablation",
-        "quality",
-        "calibration",
-    }
-)
 
 #: Why each ignored knob group does not apply — the CLI prints these
 #: verbatim in its ``[name] note: --knob ignored (reason)`` lines, so
@@ -98,6 +62,15 @@ def _check_choice(knob: str, value: str | None, choices) -> None:
         raise ValueError(
             f"unknown {knob} {value!r}: expected one of {sorted(choices)}"
         )
+
+
+def experiment_knobs(name: str) -> frozenset[str]:
+    """The keyword arguments experiment ``name`` accepts, off its signature.
+
+    ``backend`` is never among them: :func:`run` applies it as a scope
+    around *any* experiment.
+    """
+    return frozenset(inspect.signature(EXPERIMENTS[name]).parameters)
 
 
 def resolve_backend_spec(backend) -> str:
@@ -165,22 +138,24 @@ def normalize_kwargs(
                 f"{sorted(PAPER_SUITE)}"
             )
 
-    extra = EXTRA_KNOBS.get(name, frozenset())
-    kwargs: dict[str, Any] = dict(scale=scale, quick=quick, names=names)
+    knobs = experiment_knobs(name)
+    kwargs: dict[str, Any] = dict(scale=scale, quick=quick)
+    if "names" in knobs:
+        kwargs["names"] = names
     ignored: list[tuple[str, str]] = []
-    if "matrix" in extra:
+    if "matrix" in knobs:
         if matrix is not None:
             kwargs["matrix"] = matrix
     elif matrix is not None:
         ignored.append(("matrix", _IGNORE_REASONS["matrix"]))
-    if "engine" in extra:
+    if "engine" in knobs:
         if engine is not None:
             kwargs["engine"] = engine
         if procs is not None:
             kwargs["procs"] = procs
     elif engine is not None or procs is not None:
         ignored.append(("engine/procs", _IGNORE_REASONS["engine/procs"]))
-    if "direction" in extra:
+    if "direction" in knobs:
         if direction is not None:
             kwargs["direction"] = direction
     elif direction is not None:

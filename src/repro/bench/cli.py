@@ -10,9 +10,6 @@ One subcommand parser over the whole benchmark surface:
         repro-bench run backend-ablation --quick --backend scipy --json
         repro-bench run calibration --engine processes --procs 4
 
-    The historical positional form (``repro-bench fig4 --quick``) still
-    works as an alias and prints a deprecation note on stderr.
-
 ``repro-bench snapshot`` / ``repro-bench compare``
     The perf-gate subsystem::
 
@@ -139,7 +136,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-#: Flag spelling of each ignorable knob group in the legacy note lines.
+#: Flag spelling of each ignorable knob group in the ignored-knob notes.
 _KNOB_FLAGS = {
     "matrix": "--matrix",
     "engine/procs": "--engine/--procs",
@@ -252,10 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run",
         help="run one experiment (or 'all') and print/serialize its result",
-        description=(
-            "Regenerate one paper table/figure.  'repro-bench EXPERIMENT' "
-            "without the 'run' keyword is the deprecated alias."
-        ),
+        description="Regenerate one paper table/figure.",
     )
     _add_run_arguments(run_p)
     run_p.set_defaults(_dispatch=_run_command)
@@ -306,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the static HTML report for a campaign results directory",
         description=(
             "Render index.html (campaign tables, per-matrix drilldowns, "
-            "and BENCH*.json trend plots) from a results directory "
+            "and BENCH_*.json trend plots) from a results directory "
             "written by 'repro-bench orchestrate'."
         ),
     )
@@ -324,16 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # legacy positional form: 'repro-bench fig4 --quick' predates the
-    # subcommand CLI — keep it working as an alias for 'run'
-    if argv and argv[0] in EXPERIMENTS or argv[:1] == ["all"]:
-        print(
-            f"note: 'repro-bench {argv[0]}' is deprecated; "
-            f"use 'repro-bench run {argv[0]}'",
-            file=sys.stderr,
-        )
-        argv = ["run", *argv]
     args = build_parser().parse_args(argv)
     return args._dispatch(args)
 

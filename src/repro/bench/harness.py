@@ -84,7 +84,7 @@ def _suite_names(quick: bool, names: list[str] | None) -> list[str]:
     return _QUICK_MATRICES if quick else list(PAPER_SUITE)
 
 
-def _params(scale: float, quick: bool, names, **extra) -> dict:
+def _params(scale: float, quick: bool, names=None, **extra) -> dict:
     """The standard ``params`` block every experiment records."""
     p: dict = {
         "scale": scale,
@@ -98,7 +98,7 @@ def _params(scale: float, quick: bool, names, **extra) -> dict:
 # ----------------------------------------------------------------------
 # Fig. 1 — CG + block Jacobi, natural vs RCM ordering
 # ----------------------------------------------------------------------
-def run_fig1(scale: float = 1.0, quick: bool = False, names=None) -> ExperimentResult:
+def run_fig1(scale: float = 1.0, quick: bool = False) -> ExperimentResult:
     A = thermal2_like(scale * (0.6 if quick else 1.0))
     rcm = rcm_serial(A)
     nat = natural_ordering(A)
@@ -133,7 +133,7 @@ def run_fig1(scale: float = 1.0, quick: bool = False, names=None) -> ExperimentR
             "Expected shape (paper): RCM is never slower, and its advantage "
             "grows with core count."
         ],
-        params=_params(scale, quick, names),
+        params=_params(scale, quick),
         machine=edison(),
     )
 
@@ -354,7 +354,7 @@ def run_fig5(
 # Fig. 6 — flat MPI vs hybrid for ldoor
 # ----------------------------------------------------------------------
 def run_fig6(
-    scale: float = 1.0, quick: bool = False, names=None, direction: str = "push"
+    scale: float = 1.0, quick: bool = False, direction: str = "push"
 ) -> ExperimentResult:
     A = PAPER_SUITE["ldoor"].build(scale)
     # the full paper axis runs to 4096 cores: flat MPI at 4096 cores is
@@ -390,7 +390,7 @@ def run_fig6(
             "alltoall latency term grows with it."
         ],
         params=_params(
-            scale, quick, names,
+            scale, quick,
             machine_scaling="edison().scaled(A.nnz / paper_nnz) per matrix",
             direction=direction,
         ),
@@ -401,7 +401,7 @@ def run_fig6(
 # ----------------------------------------------------------------------
 # Section V.C — gather-to-root baseline
 # ----------------------------------------------------------------------
-def run_gather(scale: float = 1.0, quick: bool = False, names=None) -> ExperimentResult:
+def run_gather(scale: float = 1.0, quick: bool = False) -> ExperimentResult:
     name = "nlpkkt240"
     A = PAPER_SUITE[name].build(scale)
     cores = 64 if quick else 1024
@@ -452,7 +452,7 @@ def run_gather(scale: float = 1.0, quick: bool = False, names=None) -> Experimen
             "paper's measured 9 s."
         ],
         params=_params(
-            scale, quick, names, cores=cores,
+            scale, quick, cores=cores,
             machine_scaling="edison().scaled(A.nnz / paper_nnz) per matrix",
         ),
         machine=edison(),
@@ -677,13 +677,13 @@ def measure_finder_batching(A, starts, repeats: int = 1):
     """
     from ..backends import backend_scope
     from ..core.bfs_multi import find_pseudo_peripheral_multi
-    from ..core.pseudo_peripheral import find_pseudo_peripheral_reference
+    from ..core.pseudo_peripheral import find_pseudo_peripheral
 
     starts = np.asarray(starts, dtype=np.int64)
     with backend_scope("numpy"):
         looped_s, looped = best_of(
             repeats,
-            lambda: [find_pseudo_peripheral_reference(A, int(s)) for s in starts],
+            lambda: [find_pseudo_peripheral(A, int(s)) for s in starts],
         )
         batched_s, batched = best_of(
             repeats,
@@ -1416,7 +1416,6 @@ def measure_ingest(
 def run_ingest(
     scale: float = 1.0,
     quick: bool = False,
-    names=None,
     matrix: str | None = None,
 ) -> ExperimentResult:
     """Streamed sharded ingestion vs the monolithic construction path.
@@ -1458,11 +1457,11 @@ def run_ingest(
             "entries on a laptop.  RSS is measured per subprocess as the "
             "getrusage high-water mark minus the post-import baseline."
         ],
-        params=_params(scale, quick, names, matrix=spec, grid=list(grid)),
+        params=_params(scale, quick, matrix=spec, grid=list(grid)),
     )
 
 
-def run_skyline(scale: float = 1.0, quick: bool = False, names=None) -> ExperimentResult:
+def run_skyline(scale: float = 1.0, quick: bool = False) -> ExperimentResult:
     """Extension — envelope Cholesky storage/flops under each ordering.
 
     Reproduces the paper's *motivating* claim (Introduction: profile
@@ -1496,7 +1495,7 @@ def run_skyline(scale: float = 1.0, quick: bool = False, names=None) -> Experime
             "Expected shape (paper Introduction): profile reduction collapses "
             "skyline storage and factorization work by orders of magnitude."
         ],
-        params=_params(scale, quick, names),
+        params=_params(scale, quick),
     )
 
 
@@ -1649,7 +1648,7 @@ def measure_disk_cache(
     }
 
 
-def run_service(scale: float = 1.0, quick: bool = False, names=None) -> ExperimentResult:
+def run_service(scale: float = 1.0, quick: bool = False) -> ExperimentResult:
     """Extension — ordering-as-a-service under concurrent load.
 
     Exercises the batched async reordering server end to end: concurrent
@@ -1712,7 +1711,7 @@ def run_service(scale: float = 1.0, quick: bool = False, names=None) -> Experime
             "warm state, versus recomputing every ordering.",
         ],
         params=_params(
-            scale, quick, names, submissions=submissions, unique=unique, workers=2
+            scale, quick, submissions=submissions, unique=unique, workers=2
         ),
     )
 

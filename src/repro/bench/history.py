@@ -20,10 +20,9 @@ classifies every metric:
     Both sides present but measured with different params (e.g. scale) —
     reported, never compared.
 
-The command also prints a **trend table** across every ``BENCH*.json``
-next to the inputs, adapting the legacy ad-hoc ``BENCH_PR1``/
-``BENCH_PR3`` documents into the canonical metric namespace so the
-repo's whole perf trajectory reads as one series.
+The command also prints a **trend table** across every snapshot next to
+the inputs (:func:`snapshot_files`), so the repo's whole perf trajectory
+reads as one series.
 
 Exit codes: 0 clean, 1 regression/missing-metric, 2 schema violation or
 usage error.
@@ -37,13 +36,13 @@ import pathlib
 import sys
 from dataclasses import dataclass
 
-from .schema import SCHEMA_VERSION, SchemaError
-from .snapshot import SNAPSHOT_KIND, validate_snapshot
+from .schema import SchemaError
+from .snapshot import validate_snapshot
 
 __all__ = [
     "MetricComparison",
     "load_snapshot_file",
-    "adapt_legacy",
+    "snapshot_files",
     "compare_docs",
     "classify",
     "format_comparison",
@@ -77,78 +76,32 @@ class MetricComparison:
     gates: bool = True
 
 
-def _is_legacy(doc: dict) -> bool:
-    return doc.get("kind") != SNAPSHOT_KIND and doc.get("snapshot") in ("PR1", "PR3")
+def snapshot_files(directory) -> list[pathlib.Path]:
+    """The snapshots in ``directory``: ``BENCH.json`` and ``BENCH_*.json``.
 
-
-def adapt_legacy(doc: dict) -> dict:
-    """Lift a legacy ``BENCH_PR1``/``BENCH_PR3`` ad-hoc document into the
-    canonical snapshot schema (metrics only; no machine score — legacy
-    comparisons fall back to raw values).
+    A bare ``BENCH*.json`` glob would also pick up other files, such as
+    the ``BENCHMARK.json`` benchmark declaration.
     """
-    from .snapshot import _metric
-
-    scale = float(doc.get("scale", 1.0))
-
-    def metric(value, unit, direction, normalize=True):
-        return _metric(value, unit, direction, normalize=normalize, scale=scale)
-
-    metrics: dict[str, dict] = {}
-    if doc.get("snapshot") == "PR1":
-        for name, entry in doc.get("matrices", {}).items():
-            for backend, seconds in entry.get("spmspv_csc_seconds", {}).items():
-                metrics[f"spmspv.csc.{name}.{backend}.seconds"] = metric(
-                    seconds, "s", "lower"
-                )
-            for backend, seconds in entry.get("spmv_dense_seconds", {}).items():
-                metrics[f"spmv.dense.{name}.{backend}.seconds"] = metric(
-                    seconds, "s", "lower"
-                )
-            finder = entry.get("pseudo_peripheral")
-            if finder:
-                metrics[f"finder.batched_speedup.{name}"] = metric(
-                    finder["speedup"], "x", "higher", normalize=False
-                )
-    elif doc.get("snapshot") == "PR3":
-        name = doc.get("matrix", "ldoor")
-        for row in doc.get("rows", []):
-            p = row["ranks"]
-            metrics[f"driver.{name}.ms_per_superstep.r{p}"] = metric(
-                row["vectorized_ms_per_superstep"], "ms", "lower"
-            )
-            if row.get("speedup") is not None:
-                metrics[f"driver.{name}.speedup.r{p}"] = metric(
-                    row["speedup"], "x", "higher", normalize=False
-                )
-    else:
-        raise SchemaError(f"unrecognized legacy snapshot {doc.get('snapshot')!r}")
-    return {
-        "kind": SNAPSHOT_KIND,
-        "schema_version": SCHEMA_VERSION,
-        "label": doc["snapshot"],
-        "legacy": True,
-        "quick": False,
-        "environment": {},
-        "machine_score_seconds": None,
-        "metrics": metrics,
-    }
+    return sorted(
+        p
+        for p in pathlib.Path(directory).glob("BENCH*.json")
+        if p.name == "BENCH.json" or p.name.startswith("BENCH_")
+    )
 
 
 def load_snapshot_file(path) -> dict:
-    """Read + validate one snapshot, adapting legacy documents."""
+    """Read + validate one snapshot."""
     path = pathlib.Path(path)
     try:
         doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise SchemaError(f"snapshot file not found: {path}") from None
     except OSError as exc:
-        # e.g. a directory or unreadable file matching BENCH*.json — the
+        # e.g. a directory or unreadable file named like a snapshot — the
         # trend loop must be able to skip it, not die in a traceback
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
-    if isinstance(doc, dict) and _is_legacy(doc):
-        doc = adapt_legacy(doc)
     validate_snapshot(doc)
     return doc
 
@@ -295,15 +248,12 @@ def _doc_label(path: pathlib.Path, doc: dict) -> str:
 
 
 def _sort_key(path: pathlib.Path, doc: dict):
-    # legacy PR snapshots first, in PR order; current-schema files after,
-    # by filename — with BENCH.json (the committed baseline, hence the
-    # oldest of the current files in the CI compare flow) leading them
+    # PR<n>-labelled snapshots first, in PR order; the others after, by
+    # filename — with BENCH.json (the committed baseline, hence the
+    # oldest of them in the CI compare flow) leading
     label = doc.get("label") or ""
-    if doc.get("legacy") and label.startswith("PR"):
-        try:
-            return (0, int(label[2:]), path.name)
-        except ValueError:
-            return (0, 1 << 30, path.name)
+    if label.startswith("PR") and label[2:].isdigit():
+        return (0, int(label[2:]), path.name)
     return (1, 0, "" if path.name == "BENCH.json" else path.name)
 
 
@@ -348,15 +298,15 @@ def trend_table(
 
 def _trend_paths(old: pathlib.Path, new: pathlib.Path) -> list[pathlib.Path]:
     dirs = {old.resolve().parent, new.resolve().parent}
-    found = {p.resolve() for d in dirs for p in d.glob("BENCH*.json")}
+    found = {p.resolve() for d in dirs for p in snapshot_files(d)}
     found.update({old.resolve(), new.resolve()})
     return sorted(found)
 
 
 DESCRIPTION = (
     "Diff two BENCH.json snapshots, print the per-metric "
-    "classification and the trend across all BENCH*.json files, "
-    "and exit non-zero on regression."
+    "classification and the trend across all BENCH.json/BENCH_*.json "
+    "snapshots, and exit non-zero on regression."
 )
 
 
@@ -380,7 +330,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         "--trend",
         action="store_true",
         help=(
-            "trend-only mode: print the table across every BENCH*.json "
+            "trend-only mode: print the table across every snapshot "
             "in the inputs' directories (or the current directory when "
             "OLD/NEW are omitted) and exit 0 — no gate"
         ),
@@ -403,7 +353,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-trend",
         action="store_true",
-        help="skip the BENCH*.json trend table",
+        help="skip the snapshot trend table",
     )
     parser.set_defaults(_parser=parser)
     return parser
@@ -415,7 +365,7 @@ def run(args: argparse.Namespace) -> int:
         args._parser.error(f"--tolerance must be > 1, got {args.tolerance}")
     if args.trend:
         # fuzzbench-style continuous-benchmarking view: the whole
-        # BENCH*.json history as one table, no gating — the inputs (if
+        # snapshot history as one table, no gating — the inputs (if
         # any) only widen the directories searched
         dirs = {pathlib.Path()} | {
             pathlib.Path(a).resolve().parent
@@ -423,7 +373,7 @@ def run(args: argparse.Namespace) -> int:
             if a is not None
         }
         paths = sorted(
-            {p.resolve() for d in dirs for p in d.glob("BENCH*.json")}
+            {p.resolve() for d in dirs for p in snapshot_files(d)}
             | {pathlib.Path(a).resolve() for a in (args.old, args.new) if a is not None}
         )
         print(trend_table(paths))

@@ -109,7 +109,7 @@ def expand_runs(config: CampaignConfig) -> list[dict]:
     ``zoo:`` matrix specs apply only to ``ingest`` — other experiments
     skip those cells (the zoo graphs are not paper-suite surrogates).
     """
-    from .api import SUITE_EXPERIMENTS, normalize_kwargs, resolve_backend_spec
+    from .api import experiment_knobs, normalize_kwargs, resolve_backend_spec
 
     runs: list[dict] = []
     seen: set[str] = set()
@@ -126,7 +126,7 @@ def expand_runs(config: CampaignConfig) -> list[dict]:
             if matrix is not None:
                 if experiment == "ingest":
                     matrix_spec = matrix
-                elif experiment in SUITE_EXPERIMENTS:
+                elif "names" in experiment_knobs(experiment):
                     names = [matrix]
             for engine in config.engines:
                 for backend in config.backends:

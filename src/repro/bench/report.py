@@ -2,9 +2,9 @@
 
 :func:`render_report` reads a results directory written by
 :mod:`repro.bench.orchestrate` (``manifest.json`` plus one
-``ExperimentResult`` JSON per run) and every ``BENCH*.json`` snapshot it
-can find (the committed perf history, adapted through
-:mod:`repro.bench.history`), and writes a self-contained site:
+``ExperimentResult`` JSON per run) and every ``BENCH.json`` /
+``BENCH_*.json`` snapshot it can find (the committed perf history, read
+through :mod:`repro.bench.history`), and writes a self-contained site:
 
 * ``index.html`` — campaign summary, per-experiment result tables, and
   metric trend plots across the snapshot history;
@@ -307,10 +307,10 @@ def _load_results(results_dir: pathlib.Path):
 
 def _load_history(history) -> list[tuple[str, dict]]:
     """``[(label, snapshot_doc), ...]`` oldest first, unreadables skipped."""
-    from .history import _doc_label, _sort_key, load_snapshot_file
+    from .history import _doc_label, _sort_key, load_snapshot_file, snapshot_files
 
     if history is None:
-        history = sorted(pathlib.Path().glob("BENCH*.json"))
+        history = snapshot_files(pathlib.Path())
     docs = []
     for path in history:
         path = pathlib.Path(path)
@@ -333,8 +333,9 @@ def render_report(
     ``results_dir`` is a campaign output directory (or any directory of
     ``ExperimentResult`` JSONs).  ``out`` defaults to
     ``results_dir/report``.  ``history`` is an explicit list of snapshot
-    paths; by default every ``BENCH*.json`` in the current directory —
-    the committed perf history — feeds the trend plots.
+    paths; by default every snapshot in the current directory
+    (``BENCH.json``, ``BENCH_*.json``) — the committed perf history —
+    feeds the trend plots.
     """
     results_dir = pathlib.Path(results_dir)
     if not results_dir.is_dir():
@@ -423,8 +424,8 @@ def render_report(
         body.append("<h2>Metric trends across the BENCH history</h2>")
         body.append(
             '<p class="meta">One plot per metric; snapshots oldest → '
-            "newest (adapted legacy snapshots included). Hover a marker "
-            "for the value; every plot carries its data table.</p>"
+            "newest. Hover a marker for the value; every plot carries its "
+            "data table.</p>"
         )
         body.append('<div class="plots">')
         body.extend(figures)

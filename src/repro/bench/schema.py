@@ -277,7 +277,7 @@ class CampaignConfig:
     The cross product ``experiments x matrices x engines x backends x
     directions`` is the raw run matrix; the orchestrator normalizes each
     cell per experiment (a knob an experiment does not implement is
-    dropped — see :data:`repro.bench.api.EXTRA_KNOBS`) and deduplicates,
+    dropped — see :func:`repro.bench.api.experiment_knobs`) and deduplicates,
     so e.g. two engines collapse to one run for an engine-unaware
     experiment instead of running it twice.
 
@@ -354,9 +354,9 @@ class CampaignConfig:
         graph zoo) live above this module in the layering.
         """
         from .api import (
-            EXTRA_KNOBS,
             KNOWN_DIRECTIONS,
             KNOWN_ENGINES,
+            experiment_knobs,
             resolve_backend_spec,
         )
 
@@ -415,14 +415,14 @@ class CampaignConfig:
         # a knob axis that no requested experiment implements is a
         # config mistake, not something to silently normalize away
         if any(e is not None for e in self.engines) and not any(
-            "engine" in EXTRA_KNOBS.get(x, ()) for x in self.experiments
+            "engine" in experiment_knobs(x) for x in self.experiments
         ):
             raise SchemaError(
                 "campaign sets 'engines' but no requested experiment is "
                 "engine-aware (only 'calibration' is)"
             )
         if any(d is not None for d in self.directions) and not any(
-            "direction" in EXTRA_KNOBS.get(x, ()) for x in self.experiments
+            "direction" in experiment_knobs(x) for x in self.experiments
         ):
             raise SchemaError(
                 "campaign sets 'directions' but no requested experiment has "

@@ -179,9 +179,8 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
     """Run the curated measurement set; one flat ``{name: metric}`` dict.
 
     Metric names are dotted paths (``spmspv.csc.<matrix>.<backend>.seconds``)
-    chosen to line up with the legacy ``BENCH_PR1``/``BENCH_PR3``
-    snapshots after :func:`repro.bench.history.adapt_legacy`, so the
-    trend table reads as one series across PRs.
+    shared with the committed ``BENCH_PR1``/``BENCH_PR3`` snapshots, so
+    the trend table reads as one series across PRs.
     """
     from ..backends import backend_scope
     from ..core.bfs import bfs_levels

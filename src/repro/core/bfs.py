@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
+from ..sparse.ragged import ragged_positions
 
 __all__ = ["gather_rows", "bfs_levels", "bfs_parents", "level_sets"]
 
@@ -20,16 +21,8 @@ __all__ = ["gather_rows", "bfs_levels", "bfs_parents", "level_sets"]
 def gather_rows(A: CSRMatrix, rows: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists of the given rows (with duplicates)."""
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return np.empty(0, dtype=np.int64)
     starts = A.indptr[rows]
-    lens = A.indptr[rows + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    gather = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, lens)
-    return A.indices[gather]
+    return A.indices[ragged_positions(starts, A.indptr[rows + 1] - starts)]
 
 
 def bfs_levels(

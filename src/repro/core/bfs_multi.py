@@ -28,6 +28,7 @@ import numpy as np
 from ..backends.frontier import filtered_unique
 from ..sparse.csr import CSRMatrix
 from .bfs import gather_rows
+from .pseudo_peripheral import PseudoPeripheralResult, find_pseudo_peripheral
 
 __all__ = [
     "bfs_levels_multi",
@@ -241,9 +242,10 @@ def find_pseudo_peripheral_multi(
     ``heuristic`` (default on) routes batches through
     :func:`batching_decision` first: dense or shallow graphs — where the
     lockstep bookkeeping loses to per-root scalar loops — fall back to
-    the reference implementation.  Pass ``heuristic=False`` to force the
-    batched sweep (the backend-ablation bench does, to measure batching
-    itself).  ``direction`` (:mod:`repro.core.direction`) selects the
+    the scalar :func:`~repro.core.pseudo_peripheral.find_pseudo_peripheral`
+    loop.  Pass ``heuristic=False`` to force the batched sweep (the
+    backend-ablation bench does, to measure batching itself).
+    ``direction`` (:mod:`repro.core.direction`) selects the
     push/pull/adaptive BFS level kernels for every sweep — scalar-loop
     fallbacks included.  Results are bit-identical either way.
 
@@ -252,22 +254,13 @@ def find_pseudo_peripheral_multi(
     per start, each bit-identical to a serial
     :func:`~repro.core.pseudo_peripheral.find_pseudo_peripheral` run.
     """
-    from .pseudo_peripheral import (
-        PseudoPeripheralResult,
-        find_pseudo_peripheral_reference,
-    )
-
     starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
     if degrees is None:
         degrees = A.degrees()
     if starts.size == 1:
         # a size-1 batch has no per-level overhead to amortize; the
         # scalar loop wins by the lockstep bookkeeping constant
-        return [
-            find_pseudo_peripheral_reference(
-                A, int(starts[0]), degrees, direction=direction
-            )
-        ]
+        return [find_pseudo_peripheral(A, int(starts[0]), degrees, direction=direction)]
     if heuristic:
         # both gates: density first (free), then a probe BFS from the
         # first start — the finder performs ~2 BFS per start, so one
@@ -275,7 +268,7 @@ def find_pseudo_peripheral_multi(
         decision = batching_decision(A, int(starts[0]))
         if not decision.use_batched:
             return [
-                find_pseudo_peripheral_reference(A, int(s), degrees, direction=direction)
+                find_pseudo_peripheral(A, int(s), degrees, direction=direction)
                 for s in starts
             ]
     k = starts.size

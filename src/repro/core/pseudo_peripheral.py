@@ -19,12 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
+from .bfs import bfs_levels
 
-__all__ = [
-    "PseudoPeripheralResult",
-    "find_pseudo_peripheral",
-    "find_pseudo_peripheral_reference",
-]
+__all__ = ["PseudoPeripheralResult", "find_pseudo_peripheral"]
 
 
 @dataclass(frozen=True)
@@ -67,39 +64,13 @@ def find_pseudo_peripheral(
     the semantics the distributed implementation must reproduce
     bit-for-bit.
 
-    Delegates to the batched lockstep finder
-    (:func:`repro.core.bfs_multi.find_pseudo_peripheral_multi`) with a
-    single start; pass several starts there directly to amortize the
-    per-level sweep cost across candidates.
+    This is the one-root-at-a-time George-Liu loop over :func:`bfs_levels`.
+    The batched lockstep finder
+    (:func:`repro.core.bfs_multi.find_pseudo_peripheral_multi`) amortizes
+    the per-level sweep cost across many starts, falls back to this loop
+    for single starts and dense or shallow graphs, and is pinned against
+    it by the equivalence tests.
     """
-    from .bfs_multi import find_pseudo_peripheral_multi
-
-    return find_pseudo_peripheral_multi(
-        A, np.array([start]), degrees, direction=direction
-    )[0]
-
-
-def find_pseudo_peripheral_reference(
-    A: CSRMatrix,
-    start: int,
-    degrees: np.ndarray | None = None,
-    *,
-    direction=None,
-) -> PseudoPeripheralResult:
-    """The one-root-at-a-time George-Liu loop over :func:`bfs_levels`.
-
-    Retained as an implementation *independent* of the batched lockstep
-    sweep: the equivalence tests pin
-    :func:`~repro.core.bfs_multi.find_pseudo_peripheral_multi` against
-    this, and the backend-ablation / BENCH snapshot use it as the
-    pre-batching timing baseline.  It is also the production k=1 fast
-    path — ``find_pseudo_peripheral_multi`` returns it directly for
-    single-start batches — so its semantics ARE the library's
-    single-start semantics; change it only in lockstep with the batched
-    sweep.
-    """
-    from .bfs import bfs_levels
-
     if degrees is None:
         degrees = A.degrees()
     r = int(start)

@@ -2,7 +2,7 @@
 
 Engines: simulated + processes — pass ``engine="processes"`` (or a
 prebuilt processes context) to run every superstep on real workers; the
-ordering is bit-identical either way, which ``repro-bench calibration``
+ordering is bit-identical either way, which ``repro-bench run calibration``
 enforces on the whole paper suite.  Charges modeled cost into the five
 Fig. 4 regions.
 

@@ -70,6 +70,7 @@ import numpy as np
 
 from ..semiring.semiring import Semiring
 from ..semiring.spmspv import _group_reduce, spmspv_work
+from ..sparse.ragged import ragged_positions
 from ..sparse.spvector import SparseVector
 from .distmatrix import DistSparseMatrix
 from .distvector import DistSparseVector
@@ -156,15 +157,7 @@ def _dist_spmspv_flat(
     f = x.idx.size
 
     # ---------------- Phase A: gather input pieces per grid column -----
-    # Column block j's entries live in vector pieces j*pr .. (j+1)*pr - 1,
-    # so each group's concatenated result is a contiguous slice of the
-    # flat vector; only the charge needs computing.
-    group_entry_bounds = x.starts[np.arange(pc + 1, dtype=np.int64) * pr]
-    group_counts = np.diff(group_entry_bounds)
-    pair_words = PAIR_DTYPE.itemsize // 8  # 2 words per wire entry
-    ctx.engine.charge_allgather_flat(
-        [pr] * pc, (pair_words * group_counts).tolist(), region
-    )
+    group_entry_bounds = _phase_a_flat(A, x, region)
 
     # ---------------- Phase B: all local multiplies, fused -------------
     # cell (c, i) = block row i's slice of global column c; gathering the
@@ -183,12 +176,7 @@ def _dist_spmspv_flat(
 
     # multi-range gather of every (entry, block row) cell's matrix slice
     lens = clens.ravel()  # entry-major, block row inner
-    starts_flat = cstart.ravel()
-    total = int(lens.sum())
-    cum_lens = np.cumsum(lens)
-    pos = np.arange(total, dtype=np.int64) + np.repeat(
-        starts_flat - (cum_lens - lens), lens
-    )
+    pos = ragged_positions(cstart.ravel(), lens)
     cand_grow = flat.grow[pos]
     cand_vals = flat.vals[pos]
     xvals = np.repeat(np.broadcast_to(x.vals[:, None], clens.shape).ravel(), lens)
@@ -197,18 +185,37 @@ def _dist_spmspv_flat(
     # per-rank partial outputs: group-reduce by (grid column, global row)
     # — stable sort keeps each rank's candidates in kernel order, so the
     # reduceat sequences match the per-block kernel bit-for-bit
-    j_of_entry = np.repeat(np.arange(pc, dtype=np.int64), group_counts)
+    j_of_entry = np.repeat(np.arange(pc, dtype=np.int64), np.diff(group_entry_bounds))
     cand_key = (
         np.repeat(np.broadcast_to(j_of_entry[:, None], clens.shape).ravel(), lens) * n
         + cand_grow
     )
-    if total:
+    if pos.size:
         pkey, pvals = _group_reduce(cand_key, products, sr)
     else:
         pkey = np.empty(0, dtype=np.int64)
         pvals = np.empty(0, dtype=np.float64)
 
     return _phase_c_flat(A, pkey, pvals, sr, region)
+
+
+def _phase_a_flat(
+    A: DistSparseMatrix, x: DistSparseVector, region: str
+) -> np.ndarray:
+    """Fused Phase A, shared by the push and pull flat drivers.
+
+    Column block j's entries live in vector pieces j*pr .. (j+1)*pr - 1,
+    so each group's concatenated result is a contiguous slice of the
+    flat vector; only the charge needs computing.  Returns the ``pc + 1``
+    entry bounds of the grid columns' groups.
+    """
+    g = A.ctx.grid
+    group_entry_bounds = x.starts[np.arange(g.pc + 1, dtype=np.int64) * g.pr]
+    pair_words = PAIR_DTYPE.itemsize // 8  # 2 words per wire entry
+    A.ctx.engine.charge_allgather_flat(
+        [g.pr] * g.pc, (pair_words * np.diff(group_entry_bounds)).tolist(), region
+    )
+    return group_entry_bounds
 
 
 def _phase_c_flat(
@@ -428,12 +435,7 @@ def _dist_spmspv_pull_flat(
     # ---------------- Phase A: gather input pieces per grid column -----
     # identical to push — the pull multiply still needs the frontier's
     # payloads aligned within every column block
-    group_entry_bounds = x.starts[np.arange(pc + 1, dtype=np.int64) * pr]
-    group_counts = np.diff(group_entry_bounds)
-    pair_words = PAIR_DTYPE.itemsize // 8
-    ctx.engine.charge_allgather_flat(
-        [pr] * pc, (pair_words * group_counts).tolist(), region
-    )
+    _phase_a_flat(A, x, region)
 
     # ---------------- Phase A2: unvisited masks per processor row ------
     # each rank scans its own piece to produce its mask slice, then row
@@ -462,12 +464,7 @@ def _dist_spmspv_pull_flat(
 
     # multi-range gather of every (unvisited row, block column) cell
     lens = clens.ravel()  # row-major, block column inner
-    starts_flat = cstart.ravel()
-    total = int(lens.sum())
-    cum_lens = np.cumsum(lens)
-    pos = np.arange(total, dtype=np.int64) + np.repeat(
-        starts_flat - (cum_lens - lens), lens
-    )
+    pos = ragged_positions(cstart.ravel(), lens)
     ecol = rows_flat.gcol[pos]
     evals = rows_flat.vals[pos]
     erow = np.repeat(np.broadcast_to(cand[:, None], clens.shape).ravel(), lens)

@@ -16,7 +16,7 @@ Both views generate identical edge sets (the chunked generator is the
 single code path), so streamed and monolithic construction produce
 bit-identical distributed matrices, orderings, and modeled ledgers.
 
-``repro-bench ingest --matrix zoo:<name>`` measures exactly that, plus
+``repro-bench run ingest --matrix zoo:<name>`` measures exactly that, plus
 the peak-RSS gap the streamed path exists for; :func:`resolve_matrix`
 is the shared ``zoo:``-spec parser.
 """

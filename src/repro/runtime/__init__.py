@@ -37,7 +37,7 @@ Layout
     :class:`ProcessCollectiveEngine`: the collectives contract on
     workers + shared memory.
 ``calibration``
-    Modeled-vs-measured report used by ``repro-bench calibration``.
+    Modeled-vs-measured report used by ``repro-bench run calibration``.
 """
 
 from .calibration import calibration_rows, format_calibration

@@ -42,6 +42,7 @@ import numpy as np
 
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
+from ..sparse.ragged import ragged_positions
 from ..sparse.spvector import SparseVector
 from .semiring import Semiring
 
@@ -195,11 +196,9 @@ def spmspv_pull_numpy(
         return SparseVector.empty(A.nrows)
     starts = A.indptr[rows_cand]
     lens = A.indptr[rows_cand + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
+    gather = ragged_positions(starts, lens)
+    if gather.size == 0:
         return SparseVector.empty(A.nrows)
-    offsets = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    gather = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, lens)
     cols = A.indices[gather]
     avals = A.data[gather]
     rows = np.repeat(rows_cand, lens)

@@ -21,6 +21,7 @@ from .permute import (
     permute_symmetric,
     random_symmetric_permutation,
 )
+from .ragged import ragged_positions
 from .spvector import SparseVector
 from .stream import (
     ArrayEdgeStream,
@@ -36,6 +37,7 @@ __all__ = [
     "CSRMatrix",
     "CSCMatrix",
     "SparseVector",
+    "ragged_positions",
     "EdgeStream",
     "ArrayEdgeStream",
     "UndirectedEdgeStream",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coo import COOMatrix
+from .ragged import ragged_positions
 
 __all__ = ["CSCMatrix"]
 
@@ -189,21 +190,9 @@ class CSCMatrix:
         """
         cols = np.asarray(cols, dtype=np.int64)
         starts = self.indptr[cols]
-        stops = self.indptr[cols + 1]
-        lens = stops - starts
+        lens = self.indptr[cols + 1] - starts
+        gather = ragged_positions(starts, lens)
         offsets = np.concatenate([[0], np.cumsum(lens)])
-        total = int(offsets[-1])
-        if total == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                offsets,
-            )
-        # vectorized ragged gather: element t of the output comes from
-        # storage position starts[k] + (t - offsets[k]) for its column k
-        gather = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - offsets[:-1], lens
-        )
         return self.indices[gather], self.data[gather], offsets
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,4 +1,4 @@
-"""The backend-spec API: parsing, resolution, scoping, deprecation.
+"""The backend-spec API: parsing, resolution, scoping.
 
 The spec string is the one textual currency for backend selection
 (CLI, campaign configs, ``repro.bench.api.run``, worker payloads), so
@@ -18,11 +18,8 @@ from repro.backends import (
     backend_scope,
     current_spec,
     default_backend,
-    get_backend,
     register_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.backends.numpy_backend import NumpyBackend
 
@@ -196,51 +193,6 @@ def test_backend_scope_rejects_unreachable_instance():
     with pytest.raises(ValueError, match="not reachable"):
         with backend_scope(Orphan()):
             pass  # pragma: no cover
-
-
-# ----------------------------------------------------------------------
-# Deprecated shims: byte-stable behavior plus a DeprecationWarning
-# ----------------------------------------------------------------------
-def test_get_backend_warns_and_resolves():
-    with pytest.warns(DeprecationWarning, match="resolve_backend"):
-        assert get_backend("numpy").name == "numpy"
-
-
-def test_use_backend_warns_and_scopes():
-    with pytest.warns(DeprecationWarning, match="backend_scope"):
-        with use_backend("numpy") as b:
-            assert b.name == "numpy"
-            assert default_backend() == "numpy"
-
-
-def test_set_default_backend_warns_validates_and_sets():
-    from repro import backends
-
-    prev = backends._FALLBACK
-    try:
-        with pytest.warns(DeprecationWarning, match="backend_scope"):
-            set_default_backend("numpy")
-        assert default_backend() == "numpy"
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError, match="unknown backend"):
-                set_default_backend("no-such-backend")
-        assert backends._FALLBACK == "numpy"  # failed set leaves it alone
-    finally:
-        backends._FALLBACK = prev
-
-
-def test_scope_wins_over_process_fallback():
-    from repro import backends
-
-    prev = backends._FALLBACK
-    try:
-        backends._FALLBACK = "numpy"
-        if "scipy" in available_backends():
-            with backend_scope("scipy"):
-                assert default_backend() == "scipy"
-            assert default_backend() == "numpy"
-    finally:
-        backends._FALLBACK = prev
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,9 @@ import pytest
 
 from repro.backends import (
     available_backends,
+    backend_scope,
     default_backend,
-    get_backend,
-    set_default_backend,
-    use_backend,
+    resolve_backend,
 )
 from repro.core import bfs_levels, rcm_serial
 from repro.core.rcm_algebraic import rcm_algebraic
@@ -120,7 +119,7 @@ def test_bfs_levels_match_oracle(backend, graph):
 @pytest.mark.parametrize("backend", OTHER_BACKENDS)
 def test_expand_frontier_empty_and_isolated(backend):
     A = csr_from_edges(4, [(0, 1), (1, 3)])  # vertex 2 isolated
-    kernels = get_backend(backend)
+    kernels = resolve_backend(backend)
     unvisited = np.ones(4, dtype=bool)
     assert kernels.expand_frontier(A, np.empty(0, dtype=np.int64), unvisited).size == 0
     assert kernels.expand_frontier(A, np.array([2]), unvisited).size == 0
@@ -134,7 +133,7 @@ def test_rcm_orderings_identical_across_paper_suite(backend):
     for name in PAPER_SUITE:
         A = PAPER_SUITE[name].build(0.4)
         oracle = rcm_serial(A).perm
-        with use_backend(backend):
+        with backend_scope(backend):
             assert np.array_equal(rcm_serial(A).perm, oracle), name
             assert np.array_equal(rcm_algebraic(A).perm, oracle), name
 
@@ -152,16 +151,17 @@ def test_registry_roundtrip_and_errors():
     assert "numpy" in available_backends()
     prev = default_backend()
     with pytest.raises(KeyError):
-        get_backend("no-such-backend")
+        resolve_backend("no-such-backend")
     with pytest.raises(KeyError):
-        set_default_backend("no-such-backend")
-    with use_backend("numpy"):
+        with backend_scope("no-such-backend"):
+            pass  # pragma: no cover
+    with backend_scope("numpy"):
         assert default_backend() == "numpy"
-        assert get_backend(None).name == "numpy"
+        assert resolve_backend(None).name == "numpy"
     assert default_backend() == prev
     # instances pass through the resolver untouched
-    b = get_backend("numpy")
-    assert get_backend(b) is b
+    b = resolve_backend("numpy")
+    assert resolve_backend(b) is b
 
 
 def test_scipy_backend_listed_when_scipy_importable():
@@ -178,5 +178,5 @@ def test_numba_backend_listed_when_numba_importable():
     capability flags every OTHER_BACKENDS test here then exercises."""
     pytest.importorskip("numba")
     assert "numba" in available_backends()
-    kernels = get_backend("numba")
+    kernels = resolve_backend("numba")
     assert kernels.supports_threads and kernels.compiled

@@ -1,20 +1,15 @@
 """The public programmatic API: repro.bench.run + kwarg normalization.
 
-The per-experiment knob table in :mod:`repro.bench.api` replaced the
-CLI's ``inspect.signature`` probing — these tests pin that table against
-the actual harness signatures so the declared contract cannot drift.
+An experiment's signature is the one declaration of its knobs; these
+tests pin how :func:`repro.bench.api.normalize_kwargs` reads it.
 """
-
-import inspect
 
 import pytest
 
 import repro.bench as bench
 from repro.bench.api import (
-    EXTRA_KNOBS,
     KNOWN_DIRECTIONS,
     KNOWN_ENGINES,
-    SUITE_EXPERIMENTS,
     normalize_kwargs,
 )
 from repro.bench.schema import ExperimentResult, ResultTable, experiment_result
@@ -30,23 +25,6 @@ def _stub(name="fig3"):
         )
 
     return fn
-
-
-# ----------------------------------------------------------------------
-# The capability table is pinned to the real signatures
-# ----------------------------------------------------------------------
-def test_extra_knob_table_matches_harness_signatures():
-    """EXTRA_KNOBS must say exactly what each experiment function accepts."""
-    knowable = {"engine", "procs", "matrix", "direction"}
-    for name, fn in bench.EXPERIMENTS.items():
-        params = set(inspect.signature(fn).parameters)
-        assert {"scale", "quick", "names"} <= params, name
-        assert EXTRA_KNOBS.get(name, frozenset()) == params & knowable, name
-    assert set(EXTRA_KNOBS) <= set(bench.EXPERIMENTS)
-
-
-def test_suite_experiments_is_a_subset_of_the_registry():
-    assert SUITE_EXPERIMENTS <= set(bench.EXPERIMENTS)
 
 
 def test_experiments_mapping_is_read_only():
@@ -69,6 +47,9 @@ def test_normalize_passes_extra_knobs_where_implemented():
     kwargs, ignored = normalize_kwargs("ingest", matrix="zoo:rmat16")
     assert kwargs["matrix"] == "zoo:rmat16"
     assert ignored == []
+    assert normalize_kwargs("fig3", names=["nd24k"])[0]["names"] == ["nd24k"]
+    # only suite experiments take names; the others run a fixed input
+    assert "names" not in normalize_kwargs("fig1", names=["nd24k"])[0]
 
 
 def test_normalize_drops_inapplicable_knobs_with_reasons():

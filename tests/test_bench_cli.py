@@ -1,9 +1,8 @@
-"""The unified repro-bench CLI: subcommands, legacy alias, doc round-trips.
+"""The unified repro-bench CLI: subcommands and doc round-trips.
 
 Every ``repro-bench ...`` invocation documented in README.md and
 EXPERIMENTS.md must parse and dispatch through the one subcommand
-parser, and the legacy positional form must dispatch identically to its
-``run``-prefixed spelling (plus a deprecation note on stderr).
+parser.
 """
 
 import json
@@ -82,29 +81,15 @@ def test_docs_mention_invocations_at_all():
 
 
 @pytest.mark.parametrize(
-    "argv", _doc_invocations(), ids=lambda a: " ".join(a)
+    "argv",
+    _doc_invocations(),
+    # an experiment run is named by the experiment and its flags, without
+    # the 'run' keyword every one of them takes
+    ids=lambda a: " ".join(a[1:] if a[0] == "run" else a),
 )
 def test_every_documented_invocation_parses_and_dispatches(argv, dispatches):
     assert cli.main(argv) == 0
     assert dispatches, argv
-
-
-def test_legacy_form_dispatches_identically_to_run(dispatches, capsys):
-    legacy = ["fig4", "--quick", "--matrices", "nd24k", "ldoor"]
-    assert cli.main(legacy) == 0
-    note = capsys.readouterr().err
-    assert "deprecated" in note and "repro-bench run fig4" in note
-    legacy_calls = list(dispatches)
-    dispatches.clear()
-    assert cli.main(["run", *legacy]) == 0
-    assert "deprecated" not in capsys.readouterr().err
-    assert dispatches == legacy_calls
-
-
-def test_legacy_all_alias(dispatches):
-    assert cli.main(["all", "--quick"]) == 0
-    names = [name for kind, name, _ in dispatches if kind == "run"]
-    assert names == sorted(cli.EXPERIMENTS)
 
 
 def test_json_envelope_shape_is_stable(dispatches, capsys):
@@ -142,6 +127,7 @@ def test_usage_errors_exit_2(dispatches):
     for argv in (
         [],
         ["not-an-experiment"],
+        ["fig3"],  # experiments run only under the 'run' subcommand
         ["run"],
         ["run", "not-an-experiment"],
         ["run", "fig3", "--direction", "sideways"],

@@ -161,6 +161,7 @@ def test_cli_json_and_backend_flags(capsys):
     assert (
         main(
             [
+                "run",
                 "fig3",
                 "--quick",
                 "--scale",
@@ -208,6 +209,7 @@ def test_cli_engine_flag_reaches_calibration(capsys):
     assert (
         main(
             [
+                "run",
                 "calibration",
                 "--quick",
                 "--scale",
@@ -229,7 +231,7 @@ def test_cli_engine_flag_reaches_calibration(capsys):
 def test_cli_warns_when_engine_flag_is_ignored(capsys):
     from repro.bench.cli import main
 
-    argv = ["fig3", "--quick", "--scale", "0.45", "--matrices", "serena"]
+    argv = ["run", "fig3", "--quick", "--scale", "0.45", "--matrices", "serena"]
     assert main(argv + ["--engine", "processes"]) == 0
     assert "ignored" in capsys.readouterr().err
 
@@ -247,7 +249,7 @@ def test_semiring_ablation_runs():
 def test_cli_main():
     from repro.bench.cli import main
 
-    assert main(["fig3", "--quick", "--scale", "0.45", "--matrices", "serena"]) == 0
+    assert main(["run", "fig3", "--quick", "--scale", "0.45", "--matrices", "serena"]) == 0
 
 
 def test_cli_rejects_unknown_experiment():

@@ -1,7 +1,8 @@
 """History/comparator tests: snapshot schema validation, the metric
 classifier's edge cases (missing/new metrics, zero baselines, tolerance
-boundaries, schema-version mismatch), machine-score normalization,
-legacy BENCH_PR1/BENCH_PR3 adaptation, and the CLI regression gate."""
+boundaries, schema-version mismatch), machine-score normalization, the
+committed BENCH_PR1/BENCH_PR3 history, the trend's file set, and the CLI
+regression gate."""
 
 import json
 import pathlib
@@ -11,7 +12,6 @@ import pytest
 from repro.bench.history import (
     DEFAULT_TOLERANCE,
     MetricComparison,
-    adapt_legacy,
     classify,
     compare_docs,
     format_comparison,
@@ -246,25 +246,20 @@ def test_load_rejects_garbage_files(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Legacy adapters + trend
+# Committed history + trend
 # ----------------------------------------------------------------------
 def test_legacy_pr1_and_pr3_snapshots_adapt_into_the_schema():
+    # the PR 1/PR 3 ad-hoc documents are committed as schema-v1 snapshots
     pr1 = load_snapshot_file(ROOT / "BENCH_PR1.json")
-    assert pr1["legacy"] is True and pr1["label"] == "PR1"
+    assert pr1["label"] == "PR1" and "legacy" not in pr1
     assert any(k.startswith("spmspv.csc.") for k in pr1["metrics"])
     assert any(k.startswith("finder.batched_speedup.") for k in pr1["metrics"])
     pr3 = load_snapshot_file(ROOT / "BENCH_PR3.json")
     assert pr3["label"] == "PR3"
     assert "driver.ldoor.ms_per_superstep.r256" in pr3["metrics"]
     assert "driver.ldoor.speedup.r256" in pr3["metrics"]
-    # both validate as canonical documents after adaptation
     validate_snapshot(pr1)
     validate_snapshot(pr3)
-
-
-def test_adapt_legacy_rejects_unknown_shapes():
-    with pytest.raises(SchemaError):
-        adapt_legacy({"snapshot": "PR99"})
 
 
 def test_trend_table_spans_legacy_and_current(tmp_path):
@@ -277,9 +272,19 @@ def test_trend_table_spans_legacy_and_current(tmp_path):
     out = trend_table([ROOT / "BENCH_PR1.json", ROOT / "BENCH_PR3.json", path])
     lines = out.splitlines()
     assert "PR1" in lines[1] and "PR3" in lines[1] and "PR4" in lines[1]
-    # legacy PR order precedes the current snapshot
+    # PR labels order the columns
     assert lines[1].index("PR1") < lines[1].index("PR3") < lines[1].index("PR4")
     assert any("driver.ldoor.ms_per_superstep.r256" in l for l in lines)
+
+
+def test_trend_ignores_non_snapshots_named_like_bench(tmp_path, monkeypatch, capsys):
+    write(tmp_path, "BENCH.json", snapshot_doc({"m": metric(1.0)}))
+    write(tmp_path, "BENCHMARK.json", {"command": ["python3", "run.py"]})
+    monkeypatch.chdir(tmp_path)
+    assert compare_main(["--trend"]) == 0
+    captured = capsys.readouterr()
+    assert "Trend across 1 snapshots" in captured.out
+    assert captured.err == ""
 
 
 def test_format_comparison_summarizes_counts():

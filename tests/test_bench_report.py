@@ -81,7 +81,7 @@ def test_report_without_history_renders_no_plots(campaign_dir):
 
 
 def test_report_default_history_globs_cwd(campaign_dir, monkeypatch):
-    monkeypatch.chdir(ROOT)  # BENCH*.json live in the repo root
+    monkeypatch.chdir(ROOT)  # the BENCH snapshots live in the repo root
     text = render_report(campaign_dir).read_text()
     assert "<svg" in text
     assert "finder.batched_speedup.nd24k" in text

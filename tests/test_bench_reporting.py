@@ -18,6 +18,7 @@ from repro.bench import (
     format_table,
     render_result,
 )
+from repro.bench.api import normalize_kwargs
 from repro.bench.harness import EXPERIMENTS
 from repro.machine import CostLedger
 
@@ -141,7 +142,6 @@ def test_render_result_includes_stacked_bars_and_notes():
 # notes (and everything else the text view shows) preserved.
 # ----------------------------------------------------------------------
 _TINY_KWARGS = {
-    "fig1": dict(scale=0.45, quick=True),
     "skyline": dict(scale=0.8, quick=True),
     "calibration": dict(scale=0.45, quick=True, names=["serena"], procs=2),
 }
@@ -150,8 +150,9 @@ _DEFAULT_KWARGS = dict(scale=0.45, quick=True, names=["serena"])
 
 @pytest.fixture(scope="module")
 def tiny_results():
+    # normalize_kwargs passes names only to the suite experiments
     return {
-        name: fn(**_TINY_KWARGS.get(name, _DEFAULT_KWARGS))
+        name: fn(**normalize_kwargs(name, **_TINY_KWARGS.get(name, _DEFAULT_KWARGS))[0])
         for name, fn in EXPERIMENTS.items()
     }
 

@@ -18,7 +18,6 @@ from repro.core import (
     find_pseudo_peripheral_multi,
     masked_components,
 )
-from repro.core.pseudo_peripheral import find_pseudo_peripheral_reference
 from repro.core.bfs import gather_rows
 from repro.matrices import PAPER_SUITE, stencil_2d, stencil_3d
 from tests.conftest import csr_from_edges
@@ -83,13 +82,13 @@ def test_isolated_vertex_row():
 
 @pytest.mark.parametrize("graph", list(GRAPHS))
 def test_lockstep_finder_matches_serial_reference(graph):
-    """Pin the batched finder against the INDEPENDENT one-root loop
-    (find_pseudo_peripheral_reference), not against its own k=1 path."""
+    """Pin the batched finder against the INDEPENDENT one-root loop,
+    find_pseudo_peripheral."""
     A = GRAPHS[graph]
     starts = np.arange(A.nrows, dtype=np.int64)
     batched = find_pseudo_peripheral_multi(A, starts)
     for s in starts:
-        serial = find_pseudo_peripheral_reference(A, int(s))
+        serial = find_pseudo_peripheral(A, int(s))
         b = batched[s]
         assert (b.vertex, b.nlevels, b.bfs_count) == (
             serial.vertex,
@@ -99,12 +98,14 @@ def test_lockstep_finder_matches_serial_reference(graph):
 
 
 def test_single_start_api_and_duplicate_batch_match_reference(two_components):
-    """k=1 dispatches to the scalar loop; a duplicate pair [s, s] forces
-    the lockstep path — all must agree with the reference."""
+    """k=1 dispatches to the scalar loop; a duplicate pair [s, s] with the
+    heuristic off forces the lockstep path — all must agree with it."""
     for s in range(two_components.nrows):
-        ref = find_pseudo_peripheral_reference(two_components, s)
-        got = find_pseudo_peripheral(two_components, s)
-        dup = find_pseudo_peripheral_multi(two_components, np.array([s, s]))
+        ref = find_pseudo_peripheral(two_components, s)
+        got = find_pseudo_peripheral_multi(two_components, np.array([s]))[0]
+        dup = find_pseudo_peripheral_multi(
+            two_components, np.array([s, s]), heuristic=False
+        )
         for r in (got, *dup):
             assert (r.vertex, r.nlevels, r.bfs_count) == (
                 ref.vertex,
@@ -120,7 +121,7 @@ def test_lockstep_finder_on_paper_suite():
         starts = rng.choice(A.nrows, min(4, A.nrows), replace=False).astype(np.int64)
         batched = find_pseudo_peripheral_multi(A, starts)
         for s, b in zip(starts, batched):
-            serial = find_pseudo_peripheral_reference(A, int(s))
+            serial = find_pseudo_peripheral(A, int(s))
             assert (b.vertex, b.nlevels, b.bfs_count) == (
                 serial.vertex,
                 serial.nlevels,
@@ -209,7 +210,7 @@ def test_fallback_results_identical_to_batched():
     starts = np.array([0, 7, 100, 311], dtype=np.int64)
     auto = find_pseudo_peripheral_multi(A, starts)  # dense -> scalar loop
     forced = find_pseudo_peripheral_multi(A, starts, heuristic=False)
-    ref = [find_pseudo_peripheral_reference(A, int(s)) for s in starts]
+    ref = [find_pseudo_peripheral(A, int(s)) for s in starts]
     for a, f, r in zip(auto, forced, ref):
         assert (a.vertex, a.nlevels, a.bfs_count) == (r.vertex, r.nlevels, r.bfs_count)
         assert (f.vertex, f.nlevels, f.bfs_count) == (r.vertex, r.nlevels, r.bfs_count)
@@ -226,6 +227,6 @@ def test_shallow_graph_routes_scalar_in_production(star7, monkeypatch):
     monkeypatch.setattr(mod, "bfs_levels_multi", boom)
     starts = np.array([1, 4], dtype=np.int64)
     out = mod.find_pseudo_peripheral_multi(star7, starts)
-    ref = [find_pseudo_peripheral_reference(star7, int(s)) for s in starts]
+    ref = [find_pseudo_peripheral(star7, int(s)) for s in starts]
     for a, r in zip(out, ref):
         assert (a.vertex, a.nlevels, a.bfs_count) == (r.vertex, r.nlevels, r.bfs_count)

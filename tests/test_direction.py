@@ -15,7 +15,7 @@ overrides).
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, get_backend, use_backend
+from repro.backends import available_backends, backend_scope, resolve_backend
 from repro.core.bfs import bfs_levels
 from repro.core.bfs_multi import bfs_levels_multi, find_pseudo_peripheral_multi
 from repro.core.direction import (
@@ -26,10 +26,7 @@ from repro.core.direction import (
     DirectionPolicy,
     resolve_direction,
 )
-from repro.core.pseudo_peripheral import (
-    find_pseudo_peripheral,
-    find_pseudo_peripheral_reference,
-)
+from repro.core.pseudo_peripheral import find_pseudo_peripheral
 from repro.matrices.random_graphs import disconnected_union, erdos_renyi, rmat
 from repro.matrices.stencil import stencil_2d
 from repro.semiring import MIN_PLUS, PLUS_TIMES, SELECT2ND_MIN
@@ -155,7 +152,7 @@ def test_spmspv_pull_work_counts_masked_row_degrees():
 @pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("name,A", list(graphs()))
 def test_bfs_levels_identical_across_directions(backend, name, A):
-    with use_backend(backend):
+    with backend_scope(backend):
         ref_levels, ref_n = bfs_levels(A, 0, direction=PUSH)
         for mode in (PULL, ADAPTIVE):
             levels, nlv = bfs_levels(A, 0, direction=mode)
@@ -166,7 +163,7 @@ def test_bfs_levels_identical_across_directions(backend, name, A):
 def test_expand_frontier_pull_matches_push_per_level(grid8x8):
     A = grid8x8
     for backend in available_backends():
-        k = get_backend(backend)
+        k = resolve_backend(backend)
         unvisited = np.ones(A.nrows, bool)
         unvisited[0] = False
         frontier = np.array([0], dtype=np.int64)
@@ -201,7 +198,7 @@ def test_finder_identical_across_directions(mode):
         (r.vertex, r.nlevels, r.bfs_count) for r in ref
     ]
     one = find_pseudo_peripheral(A, 0, direction=mode)
-    ref_one = find_pseudo_peripheral_reference(A, 0, direction=PUSH)
+    ref_one = find_pseudo_peripheral(A, 0, direction=PUSH)
     assert (one.vertex, one.nlevels, one.bfs_count) == (
         ref_one.vertex,
         ref_one.nlevels,
@@ -273,7 +270,7 @@ def test_forced_overrides_reach_both_kernels(monkeypatch):
 
     A = stencil_2d(6, 6)
     calls = {"push": 0, "pull": 0}
-    backend = get_backend("numpy")
+    backend = resolve_backend("numpy")
     orig_push = type(backend).expand_frontier
     orig_pull = type(backend).expand_frontier_pull
 
@@ -287,7 +284,7 @@ def test_forced_overrides_reach_both_kernels(monkeypatch):
 
     monkeypatch.setattr(nb.NumpyBackend, "expand_frontier", count_push)
     monkeypatch.setattr(nb.NumpyBackend, "expand_frontier_pull", count_pull)
-    with use_backend("numpy"):
+    with backend_scope("numpy"):
         bfs_levels(A, 0, direction=PUSH)
         assert calls["pull"] == 0 and calls["push"] > 0
         calls["push"] = 0
