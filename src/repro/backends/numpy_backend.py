@@ -20,6 +20,7 @@ from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
 from ..sparse.spvector import SparseVector
 from .base import KernelBackend
+from .frontier import sorted_unique
 
 __all__ = ["NumpyBackend", "expand_frontier_pull_numpy"]
 
@@ -30,8 +31,10 @@ def expand_frontier_pull_numpy(
     """Reference bottom-up expansion: unvisited rows with a frontier edge.
 
     One ragged gather over the unvisited vertices' adjacency plus a
-    frontier-membership filter; ``np.unique`` over the surviving row ids
-    reproduces the push kernel's sorted unique output exactly.
+    frontier-membership filter.  The rows are scanned in ascending
+    order, so the surviving row ids are already sorted and dropping
+    adjacent repeats reproduces the push kernel's sorted unique output
+    exactly, without a sort.
     """
     from ..core.bfs import gather_rows
 
@@ -48,7 +51,7 @@ def expand_frontier_pull_numpy(
     if neigh.size == 0:
         return np.empty(0, dtype=np.int64)
     rows = np.repeat(cand, lens)
-    return np.unique(rows[in_frontier[neigh]])
+    return sorted_unique(rows[in_frontier[neigh]])
 
 
 class NumpyBackend(KernelBackend):

@@ -5,7 +5,9 @@ one schema-versioned JSON document the history subsystem
 (:mod:`repro.bench.history`) can diff, trend, and gate in CI:
 
 * **serial hot paths** — wall time of ``bfs_levels`` and ``rcm_serial``
-  per suite matrix (the kernels PR 1 optimized);
+  per suite matrix (the kernels PR 1 optimized), plus ``rcm_serial`` on
+  a deep road mesh (``road-1024``; ``road-512`` in ``--quick``), where
+  the per-level frontier dedup and ordering sweep dominate;
 * **SpMSpV kernels** — CSC SpMSpV per backend over one full BFS's real
   frontiers (the fig5/csc-ablation protocol, via
   :func:`~repro.bench.harness.measure_spmspv_backends`);
@@ -89,6 +91,7 @@ class SnapshotConfig:
     scale: float = 1.0
     repeats: int = 3
     serial_matrices: tuple[str, ...] = ("nd24k", "ldoor", "serena", "li7nmax6")
+    road_side: int = 1024
     finder_starts: int = 8
     driver_matrix: str = "ldoor"
     driver_ranks: tuple[int, ...] = (256, 1024)
@@ -122,6 +125,7 @@ QUICK_CONFIG = SnapshotConfig(
     quick=True,
     repeats=5,
     serial_matrices=("nd24k", "serena"),
+    road_side=512,
     driver_baseline_max_ranks=0,
     service_submissions=32,
     service_unique=4,
@@ -185,6 +189,7 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
     from ..backends import backend_scope
     from ..core.bfs import bfs_levels
     from ..core.rcm_serial import rcm_serial
+    from ..matrices.random_graphs import road_mesh
     from ..matrices.suite import PAPER_SUITE
     from .harness import (
         _calibrated_machine,
@@ -234,6 +239,13 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
                 normalize=False,
                 scale=scale,
             )
+        # a deep, connected mesh: thousands of BFS levels, so the sweep's
+        # per-level dedup and sort are the cost, not the suite's few levels
+        side = config.road_side
+        road_s, _ = best_of(config.repeats, rcm_serial, road_mesh(side, side, seed=3))
+        metrics[f"serial.rcm.road-{side}.seconds"] = _metric(
+            road_s, "s", "lower", normalize=True, scale=scale
+        )
 
     # -------- compiled backend (numba): measured thread scaling ---------
     # Registered only when numba imports cleanly, so the committed

@@ -8,8 +8,9 @@ overhead) per root, which dominates the Fig. 4 scaling runs at small
 frontier sizes.  This module expands the level structures of many roots
 simultaneously: each sweep gathers the neighbors of *every* source's
 frontier in one ragged numpy gather, dedups ``(source, vertex)`` pairs
-with a single fused-key ``np.unique``, and writes all sources' next
-levels at once.
+with one :func:`~repro.backends.frontier.filtered_unique` over a fused
+``source * n + vertex`` key (a plain sort, no hash), and writes all
+sources' next levels at once.
 
 Semantics per source are exactly those of
 :func:`repro.core.bfs.bfs_levels` — the equivalence tests pin every row
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends.frontier import filtered_unique
+from ..backends.frontier import filtered_unique, sorted_unique
 from ..sparse.csr import CSRMatrix
 from .bfs import gather_rows
 from .pseudo_peripheral import PseudoPeripheralResult, find_pseudo_peripheral
@@ -186,7 +187,7 @@ def _expand_push_multi(
     key = np.repeat(src * n, lens) + children
     # fused-key filtered_unique dedups (source, child) pairs; its
     # ordering (src-major, child ascending) reproduces the per-source
-    # np.unique ordering of the serial sweep
+    # sorted frontiers of the serial sweep
     return filtered_unique(key, unvisited_flat)
 
 
@@ -201,9 +202,10 @@ def _expand_pull_multi(
     """Bottom-up lockstep level: scan every source's unvisited vertices.
 
     Each unvisited ``(source, vertex)`` pair scans the vertex's
-    adjacency for a neighbor in that source's frontier; the surviving
-    pair keys are already the deduped next level (``np.unique`` only
-    sorts them), matching :func:`_expand_push_multi` exactly.
+    adjacency for a neighbor in that source's frontier.  The pairs are
+    scanned in ascending key order, so dropping adjacent repeats of the
+    hits gives the sorted next level, matching
+    :func:`_expand_push_multi` exactly.
     """
     frontier_flat = np.zeros(unvisited_flat.size, dtype=bool)
     fkey = src * n + vtx
@@ -219,7 +221,7 @@ def _expand_pull_multi(
     # neighbor key in the same source's row of the flat key space
     nkey = np.repeat(cand - cvtx, lens) + children
     hit = frontier_flat[nkey]
-    return np.unique(np.repeat(cand, lens)[hit])
+    return sorted_unique(np.repeat(cand, lens)[hit])
 
 
 def find_pseudo_peripheral_multi(

@@ -19,6 +19,7 @@ import numpy as np
 from ..semiring.semiring import SELECT2ND_MIN, Semiring
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
+from ..sparse.permute import invert_permutation
 from ..sparse.spvector import SparseVector
 from .ordering import Ordering
 from .primitives import (
@@ -155,8 +156,7 @@ def rcm_algebraic(
         nv = rcm_order_component(
             A, degrees, r, R, nv, sr, sorted_levels, backend=backend
         )
-    labels = R.astype(np.int64)
-    cm_perm = np.argsort(labels, kind="stable").astype(np.int64)
+    cm_perm = invert_permutation(R.astype(np.int64))
     return Ordering(
         perm=cm_perm[::-1].copy(),  # line 14: return R in reverse order
         algorithm="rcm-algebraic" if sorted_levels else "rcm-algebraic-nosort",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
+from ..sparse.permute import invert_permutation
 from .bfs import gather_rows
 from .ordering import Ordering
 from .pseudo_peripheral import find_pseudo_peripheral
@@ -60,39 +61,62 @@ def cuthill_mckee_queue(A: CSRMatrix, root: int, degrees: np.ndarray | None = No
     return labels
 
 
+#: Levels whose packed (parent rank, degree, id) key could reach this
+#: bound sort with a stable argsort instead; tests lower it to force
+#: that path.
+_PACKED_KEY_LIMIT = 2**63
+
+
 def _cm_component_levelwise(
     A: CSRMatrix,
     root: int,
     degrees: np.ndarray,
+    max_degree: int,
     labels: np.ndarray,
     next_label: int,
 ) -> int:
     """Label ``root``'s component level-by-level; returns the next label.
 
     The per-level sort key (min parent label, degree, vertex id) is the
-    lexicographic tuple of Algorithm 3 line 9.
+    lexicographic tuple of Algorithm 3 line 9.  Each frontier is stored
+    in label order, so ``gather_rows`` emits candidates in ascending
+    parent label and a parent's rank in the frontier stands in for its
+    label.
     """
+    n = A.nrows
+    span = max_degree + 1
     labels[root] = next_label
     next_label += 1
     frontier = np.array([root], dtype=np.int64)
     while frontier.size:
+        f = frontier.size
         lens = A.indptr[frontier + 1] - A.indptr[frontier]
         children = gather_rows(A, frontier)
-        parent_labels = np.repeat(labels[frontier], lens)
+        ranks = np.repeat(np.arange(f, dtype=np.int64), lens)
         fresh = labels[children] == -1
-        children, parent_labels = children[fresh], parent_labels[fresh]
+        children, ranks = children[fresh], ranks[fresh]
         if children.size == 0:
             break
-        # minimum parent label per child == the (select2nd, min) semiring
-        by_child = np.lexsort((parent_labels, children))
-        children, parent_labels = children[by_child], parent_labels[by_child]
-        first = np.empty(children.size, dtype=bool)
+        # keep each child's first parent, the lowest-ranked: that is the
+        # (select2nd, min) semiring.  pairs < n*f, which fits int64 for
+        # every n below 3e9.
+        pairs = children * f + ranks
+        pairs.sort()
+        children = pairs // f
+        first = np.empty(pairs.size, dtype=bool)
         first[0] = True
         np.not_equal(children[1:], children[:-1], out=first[1:])
-        children, parent_labels = children[first], parent_labels[first]
-        # Algorithm 3 line 9: lexicographic (parent label, degree, id)
-        order = np.lexsort((children, degrees[children], parent_labels))
-        ordered = children[order]
+        children = children[first]
+        ranks = pairs[first] - children * f
+        # Algorithm 3 line 9: lexicographic (parent label, degree, id),
+        # packed into one int64 when it fits
+        group = ranks * span + degrees[children]
+        if f * span * n < _PACKED_KEY_LIMIT:
+            packed = group * n + children
+            packed.sort()
+            ordered = packed % n
+        else:
+            ordered = children[np.argsort(group, kind="stable")]
         labels[ordered] = next_label + np.arange(ordered.size, dtype=np.int64)
         next_label += ordered.size
         frontier = ordered
@@ -109,6 +133,7 @@ def cm_serial(A: CSRMatrix, start: int | None = None) -> Ordering:
     _check_adjacency(A)
     n = A.nrows
     degrees = A.degrees()
+    max_degree = int(degrees.max()) if n else 0
     labels = np.full(n, -1, dtype=np.int64)
     next_label = 0
     roots: list[int] = []
@@ -125,10 +150,9 @@ def cm_serial(A: CSRMatrix, start: int | None = None) -> Ordering:
         roots.append(pp.vertex)
         levels.append(pp.nlevels)
         bfs_total += pp.bfs_count
-        next_label = _cm_component_levelwise(A, pp.vertex, degrees, labels, next_label)
-    perm = np.argsort(labels, kind="stable").astype(np.int64)
+        next_label = _cm_component_levelwise(A, pp.vertex, degrees, max_degree, labels, next_label)
     return Ordering(
-        perm=perm,
+        perm=invert_permutation(labels),
         algorithm="cm-serial",
         roots=roots,
         peripheral_bfs_count=bfs_total,

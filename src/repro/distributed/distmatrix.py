@@ -33,14 +33,18 @@ class _FlatBlocks:
     row i)``, a single block's slice of one column — laid out in cell-id
     order with ``cell_id = c * pr + i``.  Within a cell, entries keep the
     block's CSC order (ascending row), so a multi-range gather over
-    cells reproduces every rank's per-block column gather at once.
+    cells reproduces every rank's per-block column gather at once.  The
+    cells of one column are adjacent, so its whole gather is the single
+    range ``cell_ptr[c * pr] : cell_ptr[(c + 1) * pr]``.  ``row_block``
+    maps a global row to its block row.
     """
 
-    __slots__ = ("pr", "cell_ptr", "grow", "vals")
+    __slots__ = ("pr", "cell_ptr", "grow", "vals", "row_block")
 
     def __init__(self, mat: "DistSparseMatrix") -> None:
         grid = mat.ctx.grid
         self.pr = grid.pr
+        self.row_block = np.repeat(np.arange(self.pr, dtype=np.int64), np.diff(mat.row_offsets))
         keys, grows, vals = [], [], []
         for (i, j), blk in mat.blocks.items():
             if blk.nnz == 0:

@@ -34,7 +34,11 @@ from ..machine.grid import ProcessGrid
 from ..machine.params import MachineParams, edison
 from ..semiring.semiring import SELECT2ND_MIN, Semiring
 from ..sparse.csr import CSRMatrix
-from ..sparse.permute import compose_permutations, random_symmetric_permutation
+from ..sparse.permute import (
+    compose_permutations,
+    invert_permutation,
+    random_symmetric_permutation,
+)
 from .bfs import DirectionState
 from .context import DistContext
 from .distmatrix import DistSparseMatrix
@@ -369,8 +373,7 @@ def rcm_distributed(
             # (the caller may reuse it); releasing is their call
             dA.release_resident()
 
-    labels = R.to_global().astype(np.int64)
-    cm_perm = np.argsort(labels, kind="stable").astype(np.int64)
+    cm_perm = invert_permutation(R.to_global().astype(np.int64))
     perm = cm_perm[::-1].copy()  # Algorithm 3 line 14: reverse
     if relabel is not None:
         perm = compose_permutations(perm, relabel)

@@ -28,8 +28,9 @@ Two drivers execute this plan:
   the SoA vector: Phase A's per-column concatenations are contiguous
   slices of the flat vector, Phase B gathers every rank's block columns
   in one multi-range gather over the matrix's ``(column, block-row)``
-  cells, and Phase C is one stable sort + ``reduceat`` dedup-merge over
-  all destinations at once.  O(1) numpy calls per superstep instead of
+  cells (one range per frontier column, whose cells are adjacent), and
+  Phase C is one stable sort + ``reduceat`` dedup-merge over all
+  destinations at once.  O(1) numpy calls per superstep instead of
   O(p) Python iterations.
 * :func:`_dist_spmspv_perrank` — the per-rank reference driver: one loop
   iteration per rank, per-block kernel calls through
@@ -154,42 +155,35 @@ def _dist_spmspv_flat(
     n = A.n
     pr, pc = g.pr, g.pc
     flat = A.flat_blocks()
-    f = x.idx.size
 
     # ---------------- Phase A: gather input pieces per grid column -----
     group_entry_bounds = _phase_a_flat(A, x, region)
 
     # ---------------- Phase B: all local multiplies, fused -------------
-    # cell (c, i) = block row i's slice of global column c; gathering the
-    # frontier's cells for every block row at once reproduces each
-    # rank's CSC column gather in kernel order (frontier-major, rows in
-    # CSC order within a column).
-    cells = x.idx[:, None] * pr + np.arange(pr, dtype=np.int64)  # (f, pr)
-    cstart = flat.cell_ptr[cells]
-    clens = flat.cell_ptr[cells + 1] - cstart
-
-    # per-rank op counts: column sums of clens over each group's entries
-    cum = np.zeros((f + 1, pr), dtype=np.int64)
-    np.cumsum(clens, axis=0, out=cum[1:])
-    ops_ji = cum[group_entry_bounds[1:]] - cum[group_entry_bounds[:-1]]  # (pc, pr)
-    ctx.charge_compute(region, ops_ji.T.ravel())
-
-    # multi-range gather of every (entry, block row) cell's matrix slice
-    lens = clens.ravel()  # entry-major, block row inner
-    pos = ragged_positions(cstart.ravel(), lens)
+    # cell (c, i) = block row i's slice of global column c.  A column's
+    # cells are adjacent, so one range per frontier entry gathers every
+    # rank's CSC column slice in kernel order (frontier-major, block
+    # rows ascending, rows in CSC order within a block).
+    cstart = flat.cell_ptr[x.idx * pr]
+    lens = flat.cell_ptr[(x.idx + 1) * pr] - cstart
+    pos = ragged_positions(cstart, lens)
     cand_grow = flat.grow[pos]
-    cand_vals = flat.vals[pos]
-    xvals = np.repeat(np.broadcast_to(x.vals[:, None], clens.shape).ravel(), lens)
-    products = np.asarray(sr.multiply(cand_vals, xvals), dtype=np.float64)
+    products = np.asarray(sr.multiply(flat.vals[pos], np.repeat(x.vals, lens)), dtype=np.float64)
+
+    # per-rank op counts: candidates per (block row, grid column), which
+    # is rank i * pc + j of the row-major grid
+    j_of_cand = np.repeat(
+        np.repeat(np.arange(pc, dtype=np.int64), np.diff(group_entry_bounds)), lens
+    )
+    ctx.charge_compute(
+        region,
+        np.bincount(flat.row_block[cand_grow] * pc + j_of_cand, minlength=g.size),
+    )
 
     # per-rank partial outputs: group-reduce by (grid column, global row)
     # — stable sort keeps each rank's candidates in kernel order, so the
     # reduceat sequences match the per-block kernel bit-for-bit
-    j_of_entry = np.repeat(np.arange(pc, dtype=np.int64), np.diff(group_entry_bounds))
-    cand_key = (
-        np.repeat(np.broadcast_to(j_of_entry[:, None], clens.shape).ravel(), lens) * n
-        + cand_grow
-    )
+    cand_key = j_of_cand * n + cand_grow
     if pos.size:
         pkey, pvals = _group_reduce(cand_key, products, sr)
     else:

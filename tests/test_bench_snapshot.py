@@ -28,6 +28,7 @@ MICRO = SnapshotConfig(
     scale=0.45,
     repeats=1,
     serial_matrices=("serena",),
+    road_side=128,
     driver_ranks=(16,),
     driver_baseline_max_ranks=0,
     calibration_matrix="serena",
@@ -52,6 +53,7 @@ def test_snapshot_covers_the_curated_metric_set(micro_doc):
     names = set(micro_doc["metrics"])
     assert "serial.bfs.serena.seconds" in names  # serial BFS hot path
     assert "serial.rcm.serena.seconds" in names  # serial RCM hot path
+    assert "serial.rcm.road-128.seconds" in names  # deep-mesh sweep
     assert "spmspv.csc.serena.numpy.seconds" in names  # kernel timing
     assert "finder.batched_speedup.serena" in names  # batched finder
     assert "driver.ldoor.ms_per_superstep.r16" in names  # driver overhead

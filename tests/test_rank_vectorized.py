@@ -285,3 +285,62 @@ def test_phase_c_vectorized_split_points_match_old_loop(pc):
         cuts = np.searchsorted(grows, offs[i * pc : (i + 1) * pc + 1], side="left")
         new = [(cuts[t], cuts[t + 1]) for t in range(pc)]
         assert new == old
+
+
+# ----------------------------------------------------------------------
+# PLUS_TIMES reduction order: float sums that change with the order
+# ----------------------------------------------------------------------
+#: 1e16 + 1 rounds back to 1e16, so sums over these values depend on
+#: the order and grouping of the additions.
+ORDER_SENSITIVE = np.array([1e16, 1.0, -1e16])
+
+
+def _add(values):
+    """The semiring add over one segment, as the drivers apply it."""
+    return PLUS_TIMES.add_ufunc.reduceat(np.asarray(values, dtype=np.float64), [0])[0]
+
+
+@pytest.mark.parametrize("pr,pc", [(1, 1), (2, 3), (4, 4)])
+def test_plus_times_reduction_order_pinned(pr, pc):
+    """Flat and per-rank drivers add in the per-block kernel's order.
+
+    Every rank adds its products of a row in frontier order; Phase C
+    then adds the ranks' partials in grid-column order.  The input
+    values differ per grid column, so a driver that fuses the two sums
+    or reorders either one gives another float result.
+    """
+    from repro.matrices.random_graphs import erdos_renyi
+
+    # ~12 neighbors a row: most rows reach three or more grid columns
+    A = erdos_renyi(48, 12.0, seed=5)
+    n = A.nrows
+    vec_ctx, ora_ctx = ctx_pair(pr, pc)
+    dA_v = DistSparseMatrix.from_csr(vec_ctx, A)
+    dA_o = DistSparseMatrix.from_csr(ora_ctx, A)
+    idx = np.arange(n, dtype=np.int64)
+    col_block = np.searchsorted(dA_v.col_offsets, idx, side="right") - 1
+    x = SparseVector(n, idx, ORDER_SENSITIVE[(idx + col_block) % 3])
+    y_v = dist_spmspv(dA_v, DistSparseVector.from_sparse(vec_ctx, x), PLUS_TIMES, "s")
+    y_o = dist_spmspv(dA_o, DistSparseVector.from_sparse(ora_ctx, x), PLUS_TIMES, "s")
+    assert_vectors_identical(y_v, y_o)
+    assert_ledgers_identical(vec_ctx.ledger, ora_ctx.ledger)
+
+    # the two-level sum, written out row by row
+    expected, fused, reversed_ = [], [], []
+    for r in range(n):
+        cols = A.row(r)
+        products = A.data[A.indptr[r] : A.indptr[r + 1]] * x.values[cols]
+        partials = [
+            _add(products[col_block[cols] == j])
+            for j in range(pc)
+            if (col_block[cols] == j).any()
+        ]
+        expected.append(_add(partials))
+        fused.append(_add(products))
+        reversed_.append(_add(products[::-1]))
+    assert np.array_equal(y_v.idx, idx)
+    assert np.array_equal(y_v.vals, expected)
+    # the data can tell the orders apart
+    assert not np.array_equal(expected, reversed_)
+    if pc > 1:
+        assert not np.array_equal(expected, fused)

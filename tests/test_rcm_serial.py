@@ -1,5 +1,7 @@
 """Serial RCM tests: Algorithm 1 semantics, both implementations agree."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from repro.core import (
     find_pseudo_peripheral,
     rcm_serial,
 )
-from repro.matrices import path_graph, stencil_2d
-from repro.sparse import is_permutation
+from repro.matrices import PAPER_SUITE, path_graph, stencil_2d
+from repro.sparse import invert_permutation, is_permutation
 from tests.conftest import csr_from_edges
 
 
@@ -130,3 +132,29 @@ def test_levels_within_level_sorted_by_degree(star7):
 def test_peripheral_bfs_count_recorded(grid8x8):
     o = rcm_serial(grid8x8)
     assert o.peripheral_bfs_count >= 1
+
+
+def _sweep_case(name):
+    if name == "star":
+        return csr_from_edges(9, [(4, i) for i in range(9) if i != 4])
+    if name == "path":
+        return path_graph(40)
+    return PAPER_SUITE[name].build(1.0)
+
+
+@pytest.mark.parametrize("packed_limit", [None, 0], ids=["packed-key", "argsort-fallback"])
+@pytest.mark.parametrize("name", [*PAPER_SUITE, "star", "path"])
+def test_sweep_key_paths_match_queue(name, packed_limit, monkeypatch):
+    """Both sort paths of the level sweep reproduce the queue oracle.
+
+    A limit of 0 makes every level take the stable-argsort fallback
+    that levels whose packed key would overflow int64 use.
+    """
+    if packed_limit is not None:
+        # the package re-exports the function under the module's name
+        module = importlib.import_module("repro.core.rcm_serial")
+        monkeypatch.setattr(module, "_PACKED_KEY_LIMIT", packed_limit)
+    A = _sweep_case(name)
+    cm = cm_serial(A)
+    labels = cuthill_mckee_queue(A, cm.roots[0])
+    assert np.array_equal(cm.perm, invert_permutation(labels))
