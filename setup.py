@@ -28,7 +28,6 @@ setup(
     install_requires=["numpy"],
     extras_require={
         "scipy": ["scipy"],
-        "numba": ["numba"],
         "dev": ["pytest", "hypothesis", "pytest-cov", "ruff"],
     },
     entry_points={

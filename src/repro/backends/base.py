@@ -23,29 +23,10 @@ Backends must be *result-compatible* with the pure-numpy reference:
   direction-optimized BFS (:mod:`repro.core.direction`) — must return
   results bit-identical to their push counterparts on the same inputs
   (pull with the unvisited mask equals masked push, entry for entry).
-  The base class ships reference implementations, so existing backends
-  stay valid; backends override them to exploit native row slicing.
 
 This is what keeps RCM orderings identical across backends — the paper's
 determinism guarantee must survive a backend swap, and the cross-backend
 tests enforce it.
-
-Capabilities
-------------
-Backends describe themselves through class attributes the resolution and
-bench layers consult (DESIGN.md §14):
-
-* ``knobs`` — the spec-string knob names the backend accepts
-  (``numba:threads=4`` works because the numba backend lists
-  ``"threads"``); :meth:`KernelBackend.with_knobs` builds a configured
-  instance and rejects anything else with an actionable error.
-* ``supports_threads`` — True when the ``threads`` knob maps to real
-  within-rank parallelism (the machine model's ``threads_per_process``
-  measured, not just modeled).
-* ``compiled`` — True when kernels JIT/AOT compile, which tells callers
-  that first-call latency is compile time; :meth:`KernelBackend.warmup`
-  forces compilation outside measured regions (the bench harness and
-  worker pools call it before timing).
 """
 
 from __future__ import annotations
@@ -68,55 +49,6 @@ class KernelBackend(abc.ABC):
     #: Registry key; subclasses must override.
     name: str = "abstract"
 
-    #: Spec-string knob names this backend accepts (``name:knob=value``).
-    knobs: frozenset[str] = frozenset()
-
-    #: True when the ``threads`` knob drives real within-rank threading.
-    supports_threads: bool = False
-
-    #: True when kernels compile on first call (callers should warm up).
-    compiled: bool = False
-
-    @property
-    def spec_string(self) -> str:
-        """Canonical spec string reproducing this instance via resolution.
-
-        The base form is just the registry name; configured backends
-        (see :meth:`with_knobs`) append their knobs, so the string is a
-        portable, picklable reference — the distributed runtime ships it
-        to worker processes instead of the instance.
-        """
-        return self.name
-
-    def with_knobs(self, **knobs: int | float | bool | str) -> "KernelBackend":
-        """Return an instance configured with the given spec knobs.
-
-        The base implementation accepts only the empty knob set (it
-        returns ``self``) and raises ``ValueError`` otherwise; backends
-        that declare ``knobs`` override this to build a configured copy.
-        """
-        unknown = sorted(set(knobs) - self.knobs)
-        if unknown:
-            accepted = sorted(self.knobs) if self.knobs else "none"
-            raise ValueError(
-                f"backend {self.name!r} does not accept knob(s) "
-                f"{', '.join(repr(k) for k in unknown)}; accepted: {accepted}"
-            )
-        if knobs:  # declared knobs but no override — subclass bug
-            raise NotImplementedError(
-                f"backend {self.name!r} declares knobs but does not "
-                "implement with_knobs()"
-            )
-        return self
-
-    def warmup(self) -> None:
-        """Force any lazy per-process setup (JIT compilation) to happen now.
-
-        A no-op by default.  Compiled backends override it so callers —
-        the bench harness before a measured region, worker pools right
-        after fork — can pay compile cost outside timed code.
-        """
-
     @abc.abstractmethod
     def spmspv_csc(
         self,
@@ -137,6 +69,7 @@ class KernelBackend(abc.ABC):
     ) -> SparseVector:
         """``y = A x`` over semiring ``sr`` via a row-major kernel."""
 
+    @abc.abstractmethod
     def spmspv_pull(
         self,
         A: CSRMatrix,
@@ -147,12 +80,8 @@ class KernelBackend(abc.ABC):
         """Masked pull ``y = A x``: scan the rows selected by ``mask``.
 
         Work is ``sum_{r : mask[r]} nnz(A(r, :))`` — the bottom-up side
-        of direction-optimized BFS.  Not abstract: the default delegates
-        to the numpy reference so pre-existing backends keep working.
+        of direction-optimized BFS.
         """
-        from ..semiring.spmspv import spmspv_pull_numpy
-
-        return spmspv_pull_numpy(A, x, sr, mask)
 
     @abc.abstractmethod
     def spmv_dense(self, A: CSRMatrix, x: np.ndarray, sr: Semiring) -> np.ndarray:
@@ -172,6 +101,7 @@ class KernelBackend(abc.ABC):
         one level-synchronous BFS step.
         """
 
+    @abc.abstractmethod
     def expand_frontier_pull(
         self,
         A: CSRMatrix,
@@ -184,12 +114,8 @@ class KernelBackend(abc.ABC):
         instead of expanding the frontier, so the work is
         ``sum_{v unvisited} deg(v)`` — the cheap side when the frontier
         is dense.  Must return exactly :meth:`expand_frontier`'s sorted
-        unique vertex set.  The default delegates to the numpy
-        reference.
+        unique vertex set.
         """
-        from .numpy_backend import expand_frontier_pull_numpy
-
-        return expand_frontier_pull_numpy(A, frontier, unvisited)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name!r}>"

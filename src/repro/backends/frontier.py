@@ -1,11 +1,11 @@
 """Shared frontier-semantics helpers for the BFS kernels.
 
-Every push backend (numpy, scipy, numba's gather path) and the batched
+The push frontier expansion (numpy and scipy share it) and the batched
 multi-source expansion reduce to the same step: given the multiset of
 neighbor candidates gathered from the frontier's adjacency, keep only
 the still-unvisited ones and deduplicate into a sorted unique vertex
 set.  :func:`filtered_unique` is that one definition, shared so the
-frontier semantics cannot drift between backends.  It filters *before*
+frontier semantics cannot drift between them.  It filters *before*
 the dedup (on dense graphs the multiset is dominated by backward
 edges, so filtering first shrinks the sort), then sorts the survivors
 in place and drops adjacent repeats.  Plain ``np.unique`` costs several

@@ -74,31 +74,21 @@ def experiment_knobs(name: str) -> frozenset[str]:
 
 
 def resolve_backend_spec(backend) -> str:
-    """Validate a backend reference and return its canonical spec string.
+    """Validate a backend reference and return its registry name.
 
     Accepts everything :func:`repro.backends.resolve_backend` does —
-    ``None`` (the current default), a spec string like
-    ``"numba:threads=4"``, a parsed ``BackendSpec``, or an instance —
+    ``None`` (the current default), a registry name, or an instance —
     and normalizes the error surface to :class:`ValueError` so the CLI,
     campaign configs, and ``repro-serve`` can report one way.
     """
     from ..backends import available_backends, resolve_backend
 
     try:
-        resolved = resolve_backend(backend)
+        return resolve_backend(backend).name
     except KeyError:
-        name = backend
-        if isinstance(backend, str):
-            name = backend.split(":", 1)[0]
-        elif backend is not None and hasattr(backend, "name"):
-            name = backend.name
         raise ValueError(
-            f"unknown backend {name!r}: expected one of "
-            f"{sorted(available_backends())}"
+            f"unknown backend {backend!r}: expected one of {available_backends()}"
         ) from None
-    # malformed specs / unknown or invalid knobs already raise ValueError
-    # with an actionable message; let those propagate unchanged
-    return resolved.spec_string
 
 
 def normalize_kwargs(
@@ -178,9 +168,9 @@ def run(
     """Run one registered experiment and return its structured result.
 
     ``backend`` selects the SpMSpV/BFS kernel backend for the whole run
-    as a spec string — ``"numpy"``, ``"scipy"``, ``"numba:threads=4"``
-    (default: the context's current default, normally numpy).  The
-    canonical spec string is recorded in ``result.params``.  All other
+    by registry name — ``"numpy"`` or ``"scipy"`` (default: the
+    context's current default, normally numpy).  The name is recorded
+    in ``result.params``.  All other
     knobs are normalized per experiment by :func:`normalize_kwargs` —
     inapplicable ones are silently dropped here (the CLI surfaces them
     as notes).
@@ -190,7 +180,7 @@ def run(
     >>> result.table().headers[0]
     'cores'
     """
-    from ..backends import backend_scope, resolve_backend
+    from ..backends import backend_scope
 
     kwargs, _ = normalize_kwargs(
         name,
@@ -205,9 +195,6 @@ def run(
     chosen_backend = resolve_backend_spec(backend)
     fn = EXPERIMENTS[name]
     with backend_scope(chosen_backend):
-        # compiled backends JIT on first call; warm outside any region
-        # the experiment itself might time
-        resolve_backend(chosen_backend).warmup()
         result = fn(**kwargs)
     result.params.setdefault("backend", chosen_backend)
     return result

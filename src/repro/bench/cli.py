@@ -41,7 +41,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _backend_spec(text: str) -> str:
-    """argparse type for ``--backend``: validate and canonicalize a spec."""
+    """argparse type for ``--backend``: validate a registry name."""
     from .api import resolve_backend_spec
 
     try:
@@ -80,11 +80,10 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         type=_backend_spec,
         default=default_backend(),
-        metavar="SPEC",
+        metavar="NAME",
         help=(
-            "kernel backend spec for every SpMSpV/BFS hot kernel: a "
-            f"registered name ({', '.join(available_backends())}) "
-            "optionally with knobs, e.g. numba:threads=4"
+            "kernel backend for every SpMSpV/BFS hot kernel, one of: "
+            f"{', '.join(available_backends())}"
         ),
     )
     parser.add_argument(

@@ -583,84 +583,22 @@ def bfs_frontiers(A):
     ]
 
 
-def measure_spmspv_backends(A, repeats: int = 1):
-    """Best-of-``repeats`` CSC SpMSpV wall time per registered backend
-    over one full BFS's frontiers.
+def measure_spmspv_csc(A, repeats: int = 1) -> float:
+    """Best-of-``repeats`` CSC SpMSpV wall time over one full BFS's
+    frontiers, under the current default backend.
 
-    Returns ``(seconds_by_backend, identical)`` where ``identical`` is
-    checked against the numpy oracle explicitly (``None`` when numpy is
-    the only backend, i.e. there is nothing to compare).  Shared by the
-    backend-ablation experiment and the BENCH snapshot so both always
-    measure the same thing.
+    Every registered backend shares the numpy CSC kernel, so it is
+    timed once.  Shared by the backend-ablation experiment and the
+    BENCH snapshot so both always measure the same thing.
     """
-    from ..backends import available_backends, resolve_backend
     from ..semiring.semiring import SELECT2ND_MIN
     from ..semiring.spmspv import spmspv_csc
     from ..sparse.csc import CSCMatrix
 
     Ac = CSCMatrix(A.nrows, A.ncols, A.indptr, A.indices, A.data)
     frontiers = bfs_frontiers(A)
-    seconds: dict[str, float] = {}
-    outputs: dict[str, list] = {}
-    for b in available_backends():
-        kernels = resolve_backend(b)
-
-        def sweep(kernels=kernels):
-            return [spmspv_csc(Ac, x, SELECT2ND_MIN, backend=kernels) for x in frontiers]
-
-        # one untimed warmup sweep primes backend-specific matrix handles
-        # (e.g. the memoized scipy csc) so steady-state kernels are timed
-        sweep()
-        seconds[b], outputs[b] = best_of(repeats, sweep)
-    others = [b for b in outputs if b != "numpy"]
-    identical = (
-        all(outputs[b] == outputs["numpy"] for b in others) if others else None
-    )
-    return seconds, identical
-
-
-def measure_thread_scaling(A, backend: str, threads=(1, 6), repeats: int = 1):
-    """Best-of-``repeats`` CSC SpMSpV wall time per thread count, on one
-    threaded backend, over one full BFS's frontiers.
-
-    ``backend`` must name a registered backend with
-    ``supports_threads=True`` (e.g. ``"numba"``); each entry of
-    ``threads`` is measured through the spec ``f"{backend}:threads=k"``
-    after an untimed warmup sweep, so JIT compilation never lands in
-    the timed window.  Returns ``(seconds_by_threads, identical)``
-    where ``identical`` certifies that every thread count produced the
-    same frontiers as the backend's single-thread run — the measured
-    counterpart of the machine model's modeled thread discount
-    (:meth:`~repro.machine.params.MachineParams.thread_speedup`).
-    Shared by the backend-ablation experiment and the BENCH snapshot
-    so both always measure the same thing.
-    """
-    from ..backends import resolve_backend
-    from ..semiring.semiring import SELECT2ND_MIN
-    from ..semiring.spmspv import spmspv_csc
-    from ..sparse.csc import CSCMatrix
-
-    base = resolve_backend(backend)
-    if not base.supports_threads:
-        raise ValueError(f"backend {backend!r} does not support threads")
-    Ac = CSCMatrix(A.nrows, A.ncols, A.indptr, A.indices, A.data)
-    frontiers = bfs_frontiers(A)
-    seconds: dict[int, float] = {}
-    outputs: dict[int, list] = {}
-    for t in threads:
-        kernels = resolve_backend(f"{base.name}:threads={int(t)}")
-
-        def sweep(kernels=kernels):
-            return [
-                spmspv_csc(Ac, x, SELECT2ND_MIN, backend=kernels)
-                for x in frontiers
-            ]
-
-        sweep()  # untimed warmup: JIT compile + matrix handle caches
-        seconds[int(t)], outputs[int(t)] = best_of(repeats, sweep)
-    counts = sorted(outputs)
-    identical = all(outputs[t] == outputs[counts[0]] for t in counts[1:])
-    return seconds, identical
+    seconds, _ = best_of(repeats, lambda: [spmspv_csc(Ac, x, SELECT2ND_MIN) for x in frontiers])
+    return seconds
 
 
 def measure_finder_batching(A, starts, repeats: int = 1):
@@ -992,46 +930,17 @@ def run_driver_overhead(
 def run_backend_ablation(
     scale: float = 1.0, quick: bool = False, names=None
 ) -> ExperimentResult:
-    """Kernel-backend ablation: numpy vs scipy vs any compiled backend
-    SpMSpV, measured thread scaling on threaded backends, looped vs
-    batched pseudo-peripheral finder."""
-    from ..backends import available_backends, resolve_backend
+    """Kernel-backend ablation: CSC SpMSpV under the current backend,
+    looped vs batched pseudo-peripheral finder."""
+    from ..backends import default_backend
     from ..core.bfs_multi import batching_decision
 
-    backends = available_backends()
-    threaded = [b for b in backends if resolve_backend(b).supports_threads]
-    thread_counts = (1, 6)
-    machine = edison()
     kernel_rows = []
-    thread_rows = []
     finder_rows = []
     n_starts = 4 if quick else 8
     for name in _suite_names(quick, names):
         A = PAPER_SUITE[name].build(scale)
-        per_backend, same = measure_spmspv_backends(A)
-        kernel_rows.append(
-            [name]
-            + [per_backend[b] for b in backends]
-            + [
-                f"{per_backend['numpy'] / max(min(per_backend.values()), 1e-300):.2f}x",
-                "n/a" if same is None else same,
-            ]
-        )
-
-        for b in threaded:
-            by_threads, t_same = measure_thread_scaling(A, b, thread_counts)
-            t1, tn = by_threads[thread_counts[0]], by_threads[thread_counts[-1]]
-            thread_rows.append(
-                [
-                    name,
-                    b,
-                    t1,
-                    tn,
-                    f"{t1 / max(tn, 1e-300):.2f}x",
-                    f"{machine.thread_speedup(thread_counts[-1]):.2f}x",
-                    t_same,
-                ]
-            )
+        kernel_rows.append([name, measure_spmspv_csc(A)])
 
         rng = np.random.default_rng(7)
         starts = rng.choice(A.nrows, min(n_starts, A.nrows), replace=False).astype(
@@ -1051,7 +960,7 @@ def run_backend_ablation(
             ]
         )
     kernel_table = ResultTable(
-        ["matrix"] + [f"{b} s" for b in backends] + ["numpy/best", "identical"],
+        ["matrix", "SpMSpV s"],
         kernel_rows,
         title="SpMSpV (CSC) over one full BFS's frontiers:",
     )
@@ -1060,47 +969,23 @@ def run_backend_ablation(
         finder_rows,
         title="Pseudo-peripheral finder, looped vs batched lockstep:",
     )
-    tables = [kernel_table, finder_table]
-    if thread_rows:
-        tmax = thread_counts[-1]
-        tables.insert(
-            1,
-            ResultTable(
-                [
-                    "matrix",
-                    "backend",
-                    "t=1 s",
-                    f"t={tmax} s",
-                    "measured",
-                    "modeled",
-                    "identical",
-                ],
-                thread_rows,
-                title=(
-                    "Within-rank thread scaling, measured vs the machine "
-                    "model's modeled discount:"
-                ),
-            ),
-        )
+    backend = default_backend()
     return experiment_result(
         "backend-ablation",
-        "Ablation — kernel backends and batched multi-source BFS "
-        f"(backends: {', '.join(backends)})",
-        tables,
+        f"Ablation — kernel backend ({backend}) and batched multi-source BFS",
+        [kernel_table, finder_table],
         notes=[
-            "Expected shape: every backend returns identical frontiers and the "
-            "batched finder returns identical vertices — determinism survives "
-            "the kernel swap; the batched finder amortizes per-level sweep "
-            "overhead across starts, so its win grows with pseudo-diameter "
-            "and can dip below 1x on dense low-diameter graphs.  The "
-            "'heuristic' column records the frontier-density fallback's "
-            "decision (default production routing): batches on dense or "
-            "shallow graphs run the scalar loop instead.  When a threaded "
-            "backend is registered, the thread-scaling table puts its "
-            "measured t=1 vs t=6 speedup next to the machine model's "
-            "Amdahl+NUMA discount for the same thread count."
+            "Expected shape: the batched finder returns identical vertices "
+            "to the looped one; it amortizes per-level sweep overhead across "
+            "starts, so its win grows with pseudo-diameter and can dip below "
+            "1x on dense low-diameter graphs.  The 'heuristic' column records "
+            "the frontier-density fallback's decision (default production "
+            "routing): batches on dense or shallow graphs run the scalar "
+            "loop instead.  Every backend shares the numpy CSC SpMSpV, so "
+            "the kernel table times it once; cross-backend bit-identity is "
+            "checked by the test suite."
         ],
-        params=_params(scale, quick, names, backends=list(backends)),
+        params=_params(scale, quick, names),
     )
 
 

@@ -130,8 +130,8 @@ def expand_runs(config: CampaignConfig) -> list[dict]:
                     names = [matrix]
             for engine in config.engines:
                 for backend in config.backends:
-                    # canonical spec string: "numba:threads=4" and its
-                    # reorderings hash to the same run
+                    # ``None`` resolves to the default's name, so it and
+                    # the explicit name hash to the same run
                     resolved_backend = resolve_backend_spec(backend)
                     for direction in config.directions:
                         kwargs, _ = normalize_kwargs(

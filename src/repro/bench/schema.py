@@ -385,8 +385,6 @@ class CampaignConfig:
         for backend in self.backends:
             if backend is None:
                 continue
-            # spec strings ("numba:threads=4") are valid axis entries;
-            # reject unknown names *and* malformed/unknown knobs at load
             try:
                 resolve_backend_spec(backend)
             except ValueError as exc:

@@ -8,18 +8,11 @@ one schema-versioned JSON document the history subsystem
   per suite matrix (the kernels PR 1 optimized), plus ``rcm_serial`` on
   a deep road mesh (``road-1024``; ``road-512`` in ``--quick``), where
   the per-level frontier dedup and ordering sweep dominate;
-* **SpMSpV kernels** — CSC SpMSpV per backend over one full BFS's real
-  frontiers (the fig5/csc-ablation protocol, via
-  :func:`~repro.bench.harness.measure_spmspv_backends`);
+* **SpMSpV kernel** — CSC SpMSpV over one full BFS's real frontiers
+  (the fig5/csc-ablation protocol, via
+  :func:`~repro.bench.harness.measure_spmspv_csc`);
 * **batched finder** — looped-vs-batched pseudo-peripheral speedup
   (:func:`~repro.bench.harness.measure_finder_batching`);
-* **compiled backend** — when the numba backend is registered, CSC
-  SpMSpV and serial-BFS wall time at 1 and 6 within-rank threads, the
-  measured thread-scaling ratio next to the machine model's modeled
-  discount, and one hard-gated bit-identity check against the numpy
-  oracle (:func:`~repro.bench.harness.measure_thread_scaling`; the
-  block is absent on numba-free hosts, so the committed baseline does
-  not depend on an optional dependency);
 * **driver overhead** — rank-vectorized driver milliseconds per
   superstep at 256 and 1024 simulated ranks (the PR 3 axis, via
   :func:`~repro.bench.harness.measure_driver_overhead`);
@@ -106,8 +99,6 @@ class SnapshotConfig:
     ingest_grid: tuple[int, int] = (2, 2)
     service_submissions: int = 64
     service_unique: int = 8
-    compiled_matrix: str = "nd24k"
-    compiled_threads: tuple[int, ...] = (1, 6)
 
 
 #: The full protocol: the PR 1 matrix set at scale 1.0 with the per-rank
@@ -182,7 +173,7 @@ def _metric(
 def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
     """Run the curated measurement set; one flat ``{name: metric}`` dict.
 
-    Metric names are dotted paths (``spmspv.csc.<matrix>.<backend>.seconds``)
+    Metric names are dotted paths (``spmspv.csc.<matrix>.numpy.seconds``)
     shared with the committed ``BENCH_PR1``/``BENCH_PR3`` snapshots, so
     the trend table reads as one series across PRs.
     """
@@ -196,7 +187,7 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
         best_of,
         measure_driver_overhead,
         measure_finder_batching,
-        measure_spmspv_backends,
+        measure_spmspv_csc,
     )
 
     scale = config.scale
@@ -215,13 +206,10 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
                 rcm_s, "s", "lower", normalize=True, scale=scale
             )
 
-            spmspv_s, identical = measure_spmspv_backends(A, repeats=config.repeats)
-            if identical not in (True, None):
-                raise AssertionError(f"backend outputs diverged on {name}")
-            for backend, seconds in spmspv_s.items():
-                metrics[f"spmspv.csc.{name}.{backend}.seconds"] = _metric(
-                    seconds, "s", "lower", normalize=True, scale=scale
-                )
+            spmspv_s = measure_spmspv_csc(A, repeats=config.repeats)
+            metrics[f"spmspv.csc.{name}.numpy.seconds"] = _metric(
+                spmspv_s, "s", "lower", normalize=True, scale=scale
+            )
 
             rng = np.random.default_rng(7)
             starts = rng.choice(
@@ -246,16 +234,6 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
         metrics[f"serial.rcm.road-{side}.seconds"] = _metric(
             road_s, "s", "lower", normalize=True, scale=scale
         )
-
-    # -------- compiled backend (numba): measured thread scaling ---------
-    # Registered only when numba imports cleanly, so the committed
-    # BENCH.json (produced on a numba-free host) is untouched; the CI
-    # 'compiled' job asserts the block appears.  Wall times are
-    # informational (gate=false): JIT'd kernel timing swings with the
-    # LLVM version and thread scheduling in ways the machine score
-    # cannot cancel.  Bit-identity to the numpy oracle is the hard
-    # gate — a compiled kernel that drifts must fail the snapshot.
-    metrics.update(_compiled_backend_metrics(config, metrics))
 
     # -------- driver overhead at 256/1024 simulated ranks ---------------
     name = config.driver_matrix
@@ -399,108 +377,6 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
     # -------- processes-engine calibration (per-phase SpMSpV times) -----
     metrics.update(_calibration_metrics(config))
     return metrics
-
-
-def _compiled_backend_metrics(
-    config: SnapshotConfig, metrics: dict[str, dict]
-) -> dict[str, dict]:
-    """Measured thread scaling of the compiled (numba) backend, next to
-    the machine model's modeled thread discount.
-
-    Empty when numba is not registered.  Measures CSC SpMSpV (the
-    fig5/csc-ablation protocol, via
-    :func:`~repro.bench.harness.measure_thread_scaling`) and whole
-    serial BFS per thread count of ``config.compiled_threads``, records
-    speedups against the numpy baselines already collected in
-    ``metrics`` (re-measured if the compiled matrix is not in the
-    serial set), and emits one hard-gated ``bit_identical`` metric —
-    every thread count and the numpy oracle must agree exactly.
-    """
-    from ..backends import available_backends, backend_scope, resolve_backend
-    from ..core.bfs import bfs_levels
-    from ..matrices.suite import PAPER_SUITE
-    from .harness import best_of, measure_thread_scaling
-
-    if "numba" not in available_backends():
-        return {}
-    scale = config.scale
-    name = config.compiled_matrix
-    threads = tuple(int(t) for t in config.compiled_threads)
-    tmax = threads[-1]
-    A = PAPER_SUITE[name].build(scale)
-    out: dict[str, dict] = {}
-
-    spmspv_s, spmspv_same = measure_thread_scaling(
-        A, "numba", threads, repeats=config.repeats
-    )
-    for t, seconds in spmspv_s.items():
-        out[f"backend.numba.spmspv.csc.{name}.threads{t}.seconds"] = _metric(
-            seconds, "s", "lower", normalize=True, scale=scale, gate=False
-        )
-
-    # numpy baselines: reuse the serial section's measurements when the
-    # compiled matrix is part of it (the default), else measure here
-    numpy_spmspv = metrics.get(f"spmspv.csc.{name}.numpy.seconds")
-    if numpy_spmspv is not None:
-        numpy_spmspv_s = numpy_spmspv["value"]
-    else:
-        from .harness import measure_spmspv_backends
-
-        per_backend, _ = measure_spmspv_backends(A, repeats=config.repeats)
-        numpy_spmspv_s = per_backend["numpy"]
-    numpy_bfs = metrics.get(f"serial.bfs.{name}.seconds")
-    if numpy_bfs is not None:
-        numpy_bfs_s = numpy_bfs["value"]
-    else:
-        with backend_scope("numpy"):
-            numpy_bfs_s, _ = best_of(config.repeats, bfs_levels, A, 0)
-
-    with backend_scope("numpy"):
-        oracle_levels, _ = bfs_levels(A, 0)
-    bfs_same = True
-    bfs_s: dict[int, float] = {}
-    for t in threads:
-        spec = f"numba:threads={t}"
-        resolve_backend(spec).warmup()
-        with backend_scope(spec):
-            bfs_levels(A, 0)  # untimed: JIT + matrix handle caches
-            bfs_s[t], (levels, _) = best_of(config.repeats, bfs_levels, A, 0)
-        bfs_same = bfs_same and bool(np.array_equal(levels, oracle_levels))
-        out[f"backend.numba.serial_bfs.{name}.threads{t}.seconds"] = _metric(
-            bfs_s[t], "s", "lower", normalize=True, scale=scale, gate=False
-        )
-
-    if not (spmspv_same and bfs_same):
-        raise AssertionError(
-            f"numba backend diverged from the numpy oracle on {name}"
-        )
-    out[f"backend.numba.spmspv.csc.{name}.speedup_vs_numpy"] = _metric(
-        numpy_spmspv_s / max(spmspv_s[tmax], 1e-300),
-        "x", "higher", normalize=False, scale=scale, gate=False,
-    )
-    out[f"backend.numba.serial_bfs.{name}.speedup_vs_numpy"] = _metric(
-        numpy_bfs_s / max(bfs_s[tmax], 1e-300),
-        "x", "higher", normalize=False, scale=scale, gate=False,
-    )
-    out[f"backend.numba.spmspv.csc.{name}.thread_scaling"] = _metric(
-        spmspv_s[threads[0]] / max(spmspv_s[tmax], 1e-300),
-        "x", "higher", normalize=False, scale=scale, gate=False,
-    )
-    out[f"backend.numba.serial_bfs.{name}.thread_scaling"] = _metric(
-        bfs_s[threads[0]] / max(bfs_s[tmax], 1e-300),
-        "x", "higher", normalize=False, scale=scale, gate=False,
-    )
-    # the model's prediction for the same thread count, for juxtaposition
-    out["backend.numba.modeled_thread_discount"] = _metric(
-        edison().thread_speedup(tmax),
-        "x", "higher", normalize=False, scale=scale, gate=False,
-    )
-    # the one hard-gated compiled metric: orderings/frontiers/levels
-    # matched the numpy oracle bit-for-bit at every thread count
-    out["backend.numba.bit_identical"] = _metric(
-        1.0, "bool", "higher", normalize=False, scale=scale
-    )
-    return out
 
 
 def _calibration_metrics(config: SnapshotConfig) -> dict[str, dict]:

@@ -248,7 +248,7 @@ class DistContext:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def warm(self, backend=None) -> None:
+    def warm(self) -> None:
         """Prime the engine for steady-state latency.
 
         On the processes engine, one empty worker round trip pays the
@@ -256,19 +256,7 @@ class DistContext:
         outside any measured or client-visible window — long-lived
         callers (the reordering service, the calibration bench) warm
         once and serve many.  No-op on the simulated engine.
-
-        ``backend`` additionally warms that kernel backend (a spec
-        string like ``"numba:threads=4"``, a spec, or an instance) on
-        every worker *and* in the driver, so JIT compile cost of
-        compiled backends never lands inside a measured superstep.
         """
-        if backend is not None:
-            from ..backends import resolve_backend
-
-            resolved = resolve_backend(backend)
-            resolved.warmup()
-            if self.pool is not None:
-                self.pool.warm_backend(resolved.spec_string)
         if self.pool is not None:
             self.pool.ping()
 

@@ -102,20 +102,19 @@ def _unpack(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _backend_name(backend):
     """Engine-portable backend reference.
 
-    Prefers the canonical spec string (resolvable in any process, and
-    covering configured instances like ``"numba:threads=4"``); falls
-    back to the instance itself for unregistered backends, which then
-    must be picklable to cross the processes engine's pipes.
+    The registry name, resolvable in any process; an unregistered
+    instance ships as itself, so it must be picklable to cross the
+    processes engine's pipes.
     """
     from ..backends import resolve_backend
 
-    # resolve ``None`` to the *driver's* current default by spec, so
-    # workers (whose default was frozen at fork time) follow the driver
+    # resolve ``None`` to the *driver's* current default, so workers
+    # (whose default was frozen at fork time) follow the driver
     resolved = resolve_backend(backend)
     try:
-        if resolve_backend(resolved.spec_string) is resolved:
-            return resolved.spec_string
-    except (KeyError, ValueError):
+        if resolve_backend(resolved.name) is resolved:
+            return resolved.name
+    except KeyError:
         pass
     return resolved
 

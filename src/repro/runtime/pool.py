@@ -309,22 +309,6 @@ class WorkerPool:
         _, worker_secs, wall = self.map_ranks("ping", [])
         return worker_secs, wall
 
-    def warm_backend(self, spec: str | None = None) -> None:
-        """Warm kernel backend ``spec`` on *every* worker.
-
-        Compiled backends (``numba``) JIT per process; paying that cost
-        here — right after pool construction, before any measured
-        superstep or client-visible request — is what keeps compile
-        latency out of timed regions.  ``None`` warms each worker's
-        default backend.
-        """
-        self._exchange(
-            {
-                w: ("map", "backend_warmup", [spec])
-                for w in range(self.nworkers)
-            }
-        )
-
     # ------------------------------------------------------------------
     # Object store
     # ------------------------------------------------------------------

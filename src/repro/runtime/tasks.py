@@ -59,22 +59,6 @@ def _ping(state: RuntimeState, payload: Any) -> Any:
     return payload
 
 
-@task("backend_warmup")
-def _backend_warmup(state: RuntimeState, spec) -> str:
-    """Resolve + warm a kernel backend inside this worker process.
-
-    ``payload`` is a backend spec string (or ``None`` for the worker's
-    default).  Compiled backends JIT on first call; warming right after
-    fork keeps compile latency out of measured supersteps and service
-    request windows.  Returns the canonical spec string warmed.
-    """
-    from ..backends import resolve_backend
-
-    backend = resolve_backend(spec)
-    backend.warmup()
-    return backend.spec_string
-
-
 @task("copy_spans")
 def _copy_spans(state: RuntimeState, payload) -> int:
     """Move byte spans between shared-memory arenas (the collectives' mover).

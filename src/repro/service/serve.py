@@ -214,7 +214,7 @@ async def start_service_server(
 
 
 def _backend_spec(text: str) -> str:
-    """Argparse type: validate + canonicalize a backend spec string."""
+    """Argparse type: validate a backend name against the registry."""
     from ..bench.api import resolve_backend_spec
 
     try:
@@ -290,11 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=_backend_spec,
         default=None,
-        metavar="SPEC",
+        metavar="NAME",
         help=(
-            "kernel backend spec both lanes run under, e.g. 'numpy' or "
-            "'numba:threads=4'; compiled backends are JIT-warmed on every "
-            "worker at startup so first requests pay no compile latency "
+            "kernel backend both lanes run under, e.g. 'numpy' or 'scipy' "
             "(default: the process default backend)"
         ),
     )

@@ -138,9 +138,8 @@ class ServiceConfig:
     disk_cache_dir: Any = None
     #: bounded entry count of the disk tier
     disk_cache_capacity: int = 4096
-    #: kernel-backend spec for both lanes ("numpy", "numba:threads=4",
-    #: ...); None keeps each worker's default.  Compiled backends are
-    #: warmed on every worker at start, so no request pays JIT latency
+    #: kernel-backend name for both lanes ("numpy", "scipy"); None keeps
+    #: each worker's default
     backend: str | None = None
 
 
@@ -252,15 +251,11 @@ class ReorderingService:
         if self.config.backend is not None:
             from ..bench.api import resolve_backend_spec
 
-            # fail fast on a bad spec — before forking a pool for it
+            # fail fast on a bad name — before forking a pool for it
             resolve_backend_spec(self.config.backend)
         self._queue = asyncio.Queue()
         self._pool = WorkerPool(self.config.workers, deadline=self.config.deadline)
         self._pool.ping()  # warm: first dispatch pays no fork/attach cost
-        if self.config.backend is not None:
-            # compiled backends JIT per process: pay it now, not inside
-            # the first client-visible request window
-            self._pool.warm_backend(self.config.backend)
         self._scheduler_task = asyncio.create_task(
             self._scheduler(), name="repro-service-scheduler"
         )

@@ -171,12 +171,3 @@ def test_scipy_backend_listed_when_scipy_importable():
     pytest.importorskip("scipy")
     assert "scipy" in available_backends()
 
-
-def test_numba_backend_listed_when_numba_importable():
-    """Same guarantee for the compiled backend: a numba install (the CI
-    'compiled' job) must register it, and it must carry the threaded
-    capability flags every OTHER_BACKENDS test here then exercises."""
-    pytest.importorskip("numba")
-    assert "numba" in available_backends()
-    kernels = resolve_backend("numba")
-    assert kernels.supports_threads and kernels.compiled

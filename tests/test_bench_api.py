@@ -119,6 +119,8 @@ def test_run_silently_drops_inapplicable_knobs(monkeypatch):
 def test_run_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         bench.run("fig3", backend="cuda")
+    with pytest.raises(ValueError, match=r"'numba:threads=4': expected one of \['numpy'"):
+        bench.run("fig3", backend="numba:threads=4")
 
 
 def test_run_direction_reaches_the_scaling_sweep():

@@ -131,6 +131,7 @@ def test_usage_errors_exit_2(dispatches):
         ["run"],
         ["run", "not-an-experiment"],
         ["run", "fig3", "--direction", "sideways"],
+        ["run", "fig3", "--backend", "numba:threads=2"],
         ["orchestrate"],
         ["report"],
     ):

@@ -3,6 +3,8 @@
 import pathlib
 import re
 
+import pytest
+
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -74,6 +76,18 @@ def test_readme_commands_exist():
     readme = (ROOT / "README.md").read_text()
     for m in re.finditer(r"repro-bench ([a-z0-9-]+)", readme):
         assert m.group(1) in ("run", "snapshot", "compare", "orchestrate", "report"), m.group(1)
+
+
+def test_backend_flags_name_registered_backends():
+    """Every `--backend X` in README, the verify skill and CI names a backend."""
+    pytest.importorskip("scipy")
+    from repro.backends import available_backends
+
+    paths = [ROOT / "README.md", ROOT / ".claude/skills/verify/SKILL.md"]
+    paths += sorted((ROOT / ".github/workflows").glob("*.yml"))
+    for path in paths:
+        for m in re.finditer(r"--backend[ =]([^\s`'\"]+)", path.read_text()):
+            assert m.group(1) in available_backends(), (path.name, m.group(1))
 
 
 def test_readme_documents_the_process_engine():

@@ -82,6 +82,10 @@ def _config(**over):
             {"experiments": ["fig3"], "directions": ["pull"]},
             "no requested experiment has a direction switch",
         ),
+        (
+            {"experiments": ["fig3"], "backends": ["numpy:threads=4"]},
+            "unknown backend 'numpy:threads=4': expected one of ['numpy'",
+        ),
     ],
 )
 def test_config_validation_messages_are_actionable(doc, fragment):
