@@ -1,7 +1,7 @@
 """Shared frontier-semantics helpers for the BFS kernels.
 
-The push frontier expansion (numpy and scipy share it) and the batched
-multi-source expansion reduce to the same step: given the multiset of
+The push frontier expansion and the batched multi-source expansion
+reduce to the same step: given the multiset of
 neighbor candidates gathered from the frontier's adjacency, keep only
 the still-unvisited ones and deduplicate into a sorted unique vertex
 set.  :func:`filtered_unique` is that one definition, shared so the

@@ -11,8 +11,8 @@ registry — a read-only mapping of name to experiment)::
     print(result.render())          # the paper-style text table
     doc = result.to_dict()          # schema-versioned JSON document
 
-Run a declarative campaign (experiments x matrices x engines x backends
-x directions) across a worker pool and render the static HTML report::
+Run a declarative campaign (experiments x matrices x engines x
+directions) across a worker pool and render the static HTML report::
 
     outcome = bench.orchestrate(
         {"experiments": ["fig3", "fig5"], "matrices": ["nd24k"],

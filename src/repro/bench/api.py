@@ -35,7 +35,6 @@ from .schema import ExperimentResult
 __all__ = [
     "run",
     "normalize_kwargs",
-    "resolve_backend_spec",
     "experiment_knobs",
     "KNOWN_ENGINES",
     "KNOWN_DIRECTIONS",
@@ -65,30 +64,8 @@ def _check_choice(knob: str, value: str | None, choices) -> None:
 
 
 def experiment_knobs(name: str) -> frozenset[str]:
-    """The keyword arguments experiment ``name`` accepts, off its signature.
-
-    ``backend`` is never among them: :func:`run` applies it as a scope
-    around *any* experiment.
-    """
+    """The keyword arguments experiment ``name`` accepts, off its signature."""
     return frozenset(inspect.signature(EXPERIMENTS[name]).parameters)
-
-
-def resolve_backend_spec(backend) -> str:
-    """Validate a backend reference and return its registry name.
-
-    Accepts everything :func:`repro.backends.resolve_backend` does —
-    ``None`` (the current default), a registry name, or an instance —
-    and normalizes the error surface to :class:`ValueError` so the CLI,
-    campaign configs, and ``repro-serve`` can report one way.
-    """
-    from ..backends import available_backends, resolve_backend
-
-    try:
-        return resolve_backend(backend).name
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {backend!r}: expected one of {available_backends()}"
-        ) from None
 
 
 def normalize_kwargs(
@@ -161,17 +138,12 @@ def run(
     names: list[str] | None = None,
     engine: str | None = None,
     procs: int | None = None,
-    backend: str | None = None,
     direction: str | None = None,
     matrix: str | None = None,
 ) -> ExperimentResult:
     """Run one registered experiment and return its structured result.
 
-    ``backend`` selects the SpMSpV/BFS kernel backend for the whole run
-    by registry name — ``"numpy"`` or ``"scipy"`` (default: the
-    context's current default, normally numpy).  The name is recorded
-    in ``result.params``.  All other
-    knobs are normalized per experiment by :func:`normalize_kwargs` —
+    Knobs are normalized per experiment by :func:`normalize_kwargs` —
     inapplicable ones are silently dropped here (the CLI surfaces them
     as notes).
 
@@ -180,8 +152,6 @@ def run(
     >>> result.table().headers[0]
     'cores'
     """
-    from ..backends import backend_scope
-
     kwargs, _ = normalize_kwargs(
         name,
         scale=scale,
@@ -192,9 +162,4 @@ def run(
         matrix=matrix,
         direction=direction,
     )
-    chosen_backend = resolve_backend_spec(backend)
-    fn = EXPERIMENTS[name]
-    with backend_scope(chosen_backend):
-        result = fn(**kwargs)
-    result.params.setdefault("backend", chosen_backend)
-    return result
+    return EXPERIMENTS[name](**kwargs)

@@ -7,7 +7,7 @@ One subcommand parser over the whole benchmark surface:
 
         repro-bench run fig1
         repro-bench run fig4 --quick --matrices nd24k ldoor
-        repro-bench run backend-ablation --quick --backend scipy --json
+        repro-bench run backend-ablation --quick --json
         repro-bench run calibration --engine processes --procs 4
 
 ``repro-bench snapshot`` / ``repro-bench compare``
@@ -17,9 +17,9 @@ One subcommand parser over the whole benchmark surface:
         repro-bench compare BENCH.json BENCH_NEW.json --tolerance 2.5
 
 ``repro-bench orchestrate CONFIG`` / ``repro-bench report DIR``
-    Declarative campaigns (experiments x matrices x engines x backends
-    x directions from a JSON/TOML config) fanned out over a worker
-    pool, with a resumable manifest and a static HTML report::
+    Declarative campaigns (experiments x matrices x engines x
+    directions from a JSON/TOML config) fanned out over a worker pool,
+    with a resumable manifest and a static HTML report::
 
         repro-bench orchestrate examples/campaign-quick.json --report
         repro-bench report campaign-out
@@ -40,19 +40,7 @@ from .harness import EXPERIMENTS
 __all__ = ["main", "build_parser"]
 
 
-def _backend_spec(text: str) -> str:
-    """argparse type for ``--backend``: validate a registry name."""
-    from .api import resolve_backend_spec
-
-    try:
-        return resolve_backend_spec(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    from ..backends import available_backends, default_backend
-
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS) + ["all"],
@@ -75,16 +63,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="NAME",
         help="restrict suite experiments to these matrices",
-    )
-    parser.add_argument(
-        "--backend",
-        type=_backend_spec,
-        default=default_backend(),
-        metavar="NAME",
-        help=(
-            "kernel backend for every SpMSpV/BFS hot kernel, one of: "
-            f"{', '.join(available_backends())}"
-        ),
     )
     parser.add_argument(
         "--engine",
@@ -168,7 +146,6 @@ def _run_command(args: argparse.Namespace) -> int:
             names=args.matrices,
             engine=args.engine,
             procs=args.procs,
-            backend=args.backend,
             direction=args.direction,
             matrix=args.matrix,
         )
@@ -188,7 +165,6 @@ def _run_command(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "backend": args.backend,
                     "scale": args.scale,
                     "quick": args.quick,
                     "experiments": records,
@@ -274,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a declarative benchmark campaign from a JSON/TOML config",
         description=(
             "Expand a campaign config (experiments x matrices x engines x "
-            "backends x directions) into a run matrix, fan the runs out "
+            "directions) into a run matrix, fan the runs out "
             "over a worker pool, persist each as an ExperimentResult "
             "JSON, and keep a resumable manifest — rerunning skips "
             "completed runs."

@@ -585,11 +585,10 @@ def bfs_frontiers(A):
 
 def measure_spmspv_csc(A, repeats: int = 1) -> float:
     """Best-of-``repeats`` CSC SpMSpV wall time over one full BFS's
-    frontiers, under the current default backend.
+    frontiers.
 
-    Every registered backend shares the numpy CSC kernel, so it is
-    timed once.  Shared by the backend-ablation experiment and the
-    BENCH snapshot so both always measure the same thing.
+    Shared by the backend-ablation experiment and the BENCH snapshot so
+    both always measure the same thing.
     """
     from ..semiring.semiring import SELECT2ND_MIN
     from ..semiring.spmspv import spmspv_csc
@@ -605,28 +604,24 @@ def measure_finder_batching(A, starts, repeats: int = 1):
     """Best-of-``repeats`` looped-vs-batched pseudo-peripheral timing.
 
     The looped baseline is the independent one-root-at-a-time
-    implementation, and BOTH sides are pinned to the numpy backend so
-    the comparison isolates batching from backend choice (the batched
-    sweep's gathers are backend-independent).  The batched side forces
+    implementation.  The batched side forces
     ``heuristic=False`` — this function measures batching itself, so the
     frontier-density fallback must not silently route dense graphs back
     to the scalar loop it is being compared against.  Returns
     ``(looped_seconds, batched_seconds, identical)``.
     """
-    from ..backends import backend_scope
     from ..core.bfs_multi import find_pseudo_peripheral_multi
     from ..core.pseudo_peripheral import find_pseudo_peripheral
 
     starts = np.asarray(starts, dtype=np.int64)
-    with backend_scope("numpy"):
-        looped_s, looped = best_of(
-            repeats,
-            lambda: [find_pseudo_peripheral(A, int(s)) for s in starts],
-        )
-        batched_s, batched = best_of(
-            repeats,
-            lambda: find_pseudo_peripheral_multi(A, starts, heuristic=False),
-        )
+    looped_s, looped = best_of(
+        repeats,
+        lambda: [find_pseudo_peripheral(A, int(s)) for s in starts],
+    )
+    batched_s, batched = best_of(
+        repeats,
+        lambda: find_pseudo_peripheral_multi(A, starts, heuristic=False),
+    )
     identical = all(
         (a.vertex, a.nlevels, a.bfs_count) == (b.vertex, b.nlevels, b.bfs_count)
         for a, b in zip(looped, batched)
@@ -930,9 +925,8 @@ def run_driver_overhead(
 def run_backend_ablation(
     scale: float = 1.0, quick: bool = False, names=None
 ) -> ExperimentResult:
-    """Kernel-backend ablation: CSC SpMSpV under the current backend,
-    looped vs batched pseudo-peripheral finder."""
-    from ..backends import default_backend
+    """Kernel ablation: CSC SpMSpV, looped vs batched pseudo-peripheral
+    finder."""
     from ..core.bfs_multi import batching_decision
 
     kernel_rows = []
@@ -969,10 +963,9 @@ def run_backend_ablation(
         finder_rows,
         title="Pseudo-peripheral finder, looped vs batched lockstep:",
     )
-    backend = default_backend()
     return experiment_result(
         "backend-ablation",
-        f"Ablation — kernel backend ({backend}) and batched multi-source BFS",
+        "Ablation — CSC SpMSpV kernel and batched multi-source BFS",
         [kernel_table, finder_table],
         notes=[
             "Expected shape: the batched finder returns identical vertices "
@@ -981,9 +974,7 @@ def run_backend_ablation(
             "1x on dense low-diameter graphs.  The 'heuristic' column records "
             "the frontier-density fallback's decision (default production "
             "routing): batches on dense or shallow graphs run the scalar "
-            "loop instead.  Every backend shares the numpy CSC SpMSpV, so "
-            "the kernel table times it once; cross-backend bit-identity is "
-            "checked by the test suite."
+            "loop instead."
         ],
         params=_params(scale, quick, names),
     )

@@ -2,7 +2,7 @@
 
 ROADMAP item 5, fuzzbench-style: a campaign config (JSON or TOML — see
 :class:`repro.bench.schema.CampaignConfig`) names experiments x matrices
-x engines x backends x directions; :func:`expand_runs` normalizes the
+x engines x directions; :func:`expand_runs` normalizes the
 cross product per experiment (knobs an experiment does not implement are
 dropped, then duplicate cells collapse) into a list of runs keyed by a
 content hash of their normalized parameters.  :func:`orchestrate` fans
@@ -79,10 +79,10 @@ def load_config(path) -> CampaignConfig:
 # ----------------------------------------------------------------------
 # Run-matrix expansion
 # ----------------------------------------------------------------------
-def _run_hash(experiment: str, backend: str, kwargs: dict) -> str:
+def _run_hash(experiment: str, kwargs: dict) -> str:
     """Content hash of a run's normalized parameters (the resume key)."""
     canonical = json.dumps(
-        {"experiment": experiment, "backend": backend, **kwargs},
+        {"experiment": experiment, **kwargs},
         sort_keys=True,
         default=str,
     )
@@ -101,7 +101,7 @@ def _slug(*pieces: str | None) -> str:
 def expand_runs(config: CampaignConfig) -> list[dict]:
     """The campaign's normalized, deduplicated run list, in config order.
 
-    Each run is ``{"hash", "run_id", "experiment", "backend", "kwargs"}``
+    Each run is ``{"hash", "run_id", "experiment", "kwargs"}``
     where ``kwargs`` is exactly what :func:`repro.bench.api.run` needs.
     A cell whose knobs an experiment does not implement normalizes to the
     same run as the default cell and is dropped, so an engine-unaware
@@ -109,7 +109,7 @@ def expand_runs(config: CampaignConfig) -> list[dict]:
     ``zoo:`` matrix specs apply only to ``ingest`` — other experiments
     skip those cells (the zoo graphs are not paper-suite surrogates).
     """
-    from .api import experiment_knobs, normalize_kwargs, resolve_backend_spec
+    from .api import experiment_knobs, normalize_kwargs
 
     runs: list[dict] = []
     seen: set[str] = set()
@@ -129,41 +129,35 @@ def expand_runs(config: CampaignConfig) -> list[dict]:
                 elif "names" in experiment_knobs(experiment):
                     names = [matrix]
             for engine in config.engines:
-                for backend in config.backends:
-                    # ``None`` resolves to the default's name, so it and
-                    # the explicit name hash to the same run
-                    resolved_backend = resolve_backend_spec(backend)
-                    for direction in config.directions:
-                        kwargs, _ = normalize_kwargs(
-                            experiment,
-                            scale=config.scale,
-                            quick=config.quick,
-                            names=names,
-                            engine=engine,
-                            procs=config.procs,
-                            matrix=matrix_spec,
-                            direction=direction,
-                        )
-                        digest = _run_hash(experiment, resolved_backend, kwargs)
-                        if digest in seen:
-                            continue
-                        seen.add(digest)
-                        runs.append(
-                            {
-                                "hash": digest,
-                                "run_id": _slug(
-                                    experiment,
-                                    matrix if (names or matrix_spec) else None,
-                                    kwargs.get("engine"),
-                                    resolved_backend,
-                                    kwargs.get("direction"),
-                                    digest[:8],
-                                ),
-                                "experiment": experiment,
-                                "backend": resolved_backend,
-                                "kwargs": kwargs,
-                            }
-                        )
+                for direction in config.directions:
+                    kwargs, _ = normalize_kwargs(
+                        experiment,
+                        scale=config.scale,
+                        quick=config.quick,
+                        names=names,
+                        engine=engine,
+                        procs=config.procs,
+                        matrix=matrix_spec,
+                        direction=direction,
+                    )
+                    digest = _run_hash(experiment, kwargs)
+                    if digest in seen:
+                        continue
+                    seen.add(digest)
+                    runs.append(
+                        {
+                            "hash": digest,
+                            "run_id": _slug(
+                                experiment,
+                                matrix if (names or matrix_spec) else None,
+                                kwargs.get("engine"),
+                                kwargs.get("direction"),
+                                digest[:8],
+                            ),
+                            "experiment": experiment,
+                            "kwargs": kwargs,
+                        }
+                    )
     return runs
 
 
@@ -173,17 +167,17 @@ def expand_runs(config: CampaignConfig) -> list[dict]:
 def execute_run(payload) -> tuple:
     """Run one campaign cell; report errors in-band (never raise).
 
-    ``payload = (experiment, backend, kwargs)``.  Returns
+    ``payload = (experiment, kwargs)``.  Returns
     ``("ok", result_dict, seconds)`` or ``("err", traceback_text)`` —
     the ``service_rcm`` convention, so one failing experiment cannot
     abort the rest of its wave through :class:`TaskError`.
     """
-    experiment, backend, kwargs = payload
+    experiment, kwargs = payload
     t0 = time.perf_counter()
     try:
         from .api import run
 
-        result = run(experiment, backend=backend, **kwargs)
+        result = run(experiment, **kwargs)
         return ("ok", result.to_dict(), time.perf_counter() - t0)
     except Exception:
         return ("err", traceback.format_exc())
@@ -296,7 +290,6 @@ def orchestrate(
         entry = {
             "run_id": run["run_id"],
             "experiment": run["experiment"],
-            "backend": run["backend"],
             "params": dict(run["kwargs"]),
             "status": "pending",
             "file": f"{run['run_id']}.json",
@@ -341,7 +334,7 @@ def orchestrate(
         say(f"[{config.name}] FAILED {entry['run_id']}: {entry['error']}")
 
     if pending:
-        payload = lambda run: (run["experiment"], run["backend"], run["kwargs"])  # noqa: E731
+        payload = lambda run: (run["experiment"], run["kwargs"])  # noqa: E731
         nworkers = _resolve_workers(config, len(pending))
         if nworkers == 0:
             # inline mode: no crash isolation, but no fork either —

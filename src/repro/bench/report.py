@@ -395,15 +395,12 @@ def render_report(
                     entry["experiment"],
                     _run_matrix_label(entry) or "suite",
                     entry.get("params", {}).get("engine") or "simulated",
-                    entry.get("backend")
-                    or entry.get("params", {}).get("backend")
-                    or "-",
                     f"§{status}§",
                     "-" if entry.get("seconds") is None else entry["seconds"],
                 ]
             )
         table = _table_html(
-            ["run", "experiment", "matrix", "engine", "backend", "status", "s"],
+            ["run", "experiment", "matrix", "engine", "status", "s"],
             rows,
         )
         for status in ("done", "failed", "pending"):

@@ -205,7 +205,7 @@ class ExperimentResult:
         part of the result, preserved verbatim through JSON.
     params:
         The knobs this run used: ``scale``, ``quick``, ``names``, and
-        (where meaningful) ``engine``/``procs``/``backend``.
+        (where meaningful) ``engine``/``procs``/``direction``.
     environment:
         Machine-model constants, python/numpy versions, git metadata.
     """
@@ -274,8 +274,8 @@ class ExperimentResult:
 class CampaignConfig:
     """A declarative benchmark campaign: the orchestrator's input.
 
-    The cross product ``experiments x matrices x engines x backends x
-    directions`` is the raw run matrix; the orchestrator normalizes each
+    The cross product ``experiments x matrices x engines x directions``
+    is the raw run matrix; the orchestrator normalizes each
     cell per experiment (a knob an experiment does not implement is
     dropped — see :func:`repro.bench.api.experiment_knobs`) and deduplicates,
     so e.g. two engines collapse to one run for an engine-unaware
@@ -283,7 +283,7 @@ class CampaignConfig:
 
     ``matrices`` entries are paper-suite names, or ``zoo:<name>`` specs
     for the ``ingest`` experiment.  ``None`` axis entries mean "the
-    experiment's default" (full/quick suite, default backend, push).
+    experiment's default" (full/quick suite, push).
     ``workers`` is the campaign worker-pool size: ``None`` reads
     ``REPRO_TEST_PROCS`` (default 2), ``0`` runs inline in the driver
     (no crash isolation — test/debug mode).  ``retries`` bounds how
@@ -295,7 +295,6 @@ class CampaignConfig:
     name: str = "campaign"
     matrices: list[str | None] = field(default_factory=lambda: [None])
     engines: list[str | None] = field(default_factory=lambda: [None])
-    backends: list[str | None] = field(default_factory=lambda: [None])
     directions: list[str | None] = field(default_factory=lambda: [None])
     scale: float = 1.0
     quick: bool = False
@@ -305,7 +304,7 @@ class CampaignConfig:
     deadline_seconds: float | None = 600.0
     out: str | None = None
 
-    _AXES = ("matrices", "engines", "backends", "directions")
+    _AXES = ("matrices", "engines", "directions")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignConfig":
@@ -325,8 +324,8 @@ class CampaignConfig:
                 f"(this build reads version {SCHEMA_VERSION})"
             )
         known = {
-            "name", "experiments", "matrices", "engines", "backends",
-            "directions", "scale", "quick", "procs", "workers", "retries",
+            "name", "experiments", "matrices", "engines", "directions",
+            "scale", "quick", "procs", "workers", "retries",
             "deadline_seconds", "out",
         }
         unknown = sorted(set(doc) - known)
@@ -350,15 +349,10 @@ class CampaignConfig:
     def validate(self) -> None:
         """Check every axis value against the live registries.
 
-        Imports lazily: the registries (experiment table, backend list,
-        graph zoo) live above this module in the layering.
+        Imports lazily: the registries (experiment table, graph zoo)
+        live above this module in the layering.
         """
-        from .api import (
-            KNOWN_DIRECTIONS,
-            KNOWN_ENGINES,
-            experiment_knobs,
-            resolve_backend_spec,
-        )
+        from .api import KNOWN_DIRECTIONS, KNOWN_ENGINES, experiment_knobs
 
         if not self.experiments:
             raise SchemaError("campaign config 'experiments' must be non-empty")
@@ -382,13 +376,6 @@ class CampaignConfig:
                     f"unknown engine {engine!r}: expected one of "
                     f"{sorted(KNOWN_ENGINES)}"
                 )
-        for backend in self.backends:
-            if backend is None:
-                continue
-            try:
-                resolve_backend_spec(backend)
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from None
         for direction in self.directions:
             if direction is not None and direction not in KNOWN_DIRECTIONS:
                 raise SchemaError(
@@ -453,7 +440,6 @@ class CampaignConfig:
             "experiments": list(self.experiments),
             "matrices": list(self.matrices),
             "engines": list(self.engines),
-            "backends": list(self.backends),
             "directions": list(self.directions),
             "scale": self.scale,
             "quick": self.quick,

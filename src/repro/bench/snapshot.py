@@ -177,7 +177,6 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
     shared with the committed ``BENCH_PR1``/``BENCH_PR3`` snapshots, so
     the trend table reads as one series across PRs.
     """
-    from ..backends import backend_scope
     from ..core.bfs import bfs_levels
     from ..core.rcm_serial import rcm_serial
     from ..matrices.random_graphs import road_mesh
@@ -194,46 +193,45 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
     metrics: dict[str, dict] = {}
 
     # -------- serial hot paths + SpMSpV kernels + batched finder --------
-    with backend_scope("numpy"):
-        for name in config.serial_matrices:
-            A = PAPER_SUITE[name].build(scale)
-            bfs_s, _ = best_of(config.repeats, bfs_levels, A, 0)
-            metrics[f"serial.bfs.{name}.seconds"] = _metric(
-                bfs_s, "s", "lower", normalize=True, scale=scale
-            )
-            rcm_s, _ = best_of(config.repeats, rcm_serial, A)
-            metrics[f"serial.rcm.{name}.seconds"] = _metric(
-                rcm_s, "s", "lower", normalize=True, scale=scale
-            )
-
-            spmspv_s = measure_spmspv_csc(A, repeats=config.repeats)
-            metrics[f"spmspv.csc.{name}.numpy.seconds"] = _metric(
-                spmspv_s, "s", "lower", normalize=True, scale=scale
-            )
-
-            rng = np.random.default_rng(7)
-            starts = rng.choice(
-                A.nrows, min(config.finder_starts, A.nrows), replace=False
-            ).astype(np.int64)
-            looped_s, batched_s, same = measure_finder_batching(
-                A, starts, repeats=config.repeats
-            )
-            if not same:
-                raise AssertionError(f"batched finder diverged on {name}")
-            metrics[f"finder.batched_speedup.{name}"] = _metric(
-                looped_s / max(batched_s, 1e-300),
-                "x",
-                "higher",
-                normalize=False,
-                scale=scale,
-            )
-        # a deep, connected mesh: thousands of BFS levels, so the sweep's
-        # per-level dedup and sort are the cost, not the suite's few levels
-        side = config.road_side
-        road_s, _ = best_of(config.repeats, rcm_serial, road_mesh(side, side, seed=3))
-        metrics[f"serial.rcm.road-{side}.seconds"] = _metric(
-            road_s, "s", "lower", normalize=True, scale=scale
+    for name in config.serial_matrices:
+        A = PAPER_SUITE[name].build(scale)
+        bfs_s, _ = best_of(config.repeats, bfs_levels, A, 0)
+        metrics[f"serial.bfs.{name}.seconds"] = _metric(
+            bfs_s, "s", "lower", normalize=True, scale=scale
         )
+        rcm_s, _ = best_of(config.repeats, rcm_serial, A)
+        metrics[f"serial.rcm.{name}.seconds"] = _metric(
+            rcm_s, "s", "lower", normalize=True, scale=scale
+        )
+
+        spmspv_s = measure_spmspv_csc(A, repeats=config.repeats)
+        metrics[f"spmspv.csc.{name}.numpy.seconds"] = _metric(
+            spmspv_s, "s", "lower", normalize=True, scale=scale
+        )
+
+        rng = np.random.default_rng(7)
+        starts = rng.choice(
+            A.nrows, min(config.finder_starts, A.nrows), replace=False
+        ).astype(np.int64)
+        looped_s, batched_s, same = measure_finder_batching(
+            A, starts, repeats=config.repeats
+        )
+        if not same:
+            raise AssertionError(f"batched finder diverged on {name}")
+        metrics[f"finder.batched_speedup.{name}"] = _metric(
+            looped_s / max(batched_s, 1e-300),
+            "x",
+            "higher",
+            normalize=False,
+            scale=scale,
+        )
+    # a deep, connected mesh: thousands of BFS levels, so the sweep's
+    # per-level dedup and sort are the cost, not the suite's few levels
+    side = config.road_side
+    road_s, _ = best_of(config.repeats, rcm_serial, road_mesh(side, side, seed=3))
+    metrics[f"serial.rcm.road-{side}.seconds"] = _metric(
+        road_s, "s", "lower", normalize=True, scale=scale
+    )
 
     # -------- driver overhead at 256/1024 simulated ranks ---------------
     name = config.driver_matrix
@@ -262,28 +260,27 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
     from ..matrices.random_graphs import rmat
     from .harness import measure_direction_dist, measure_direction_serial
 
-    with backend_scope("numpy"):
-        direction_inputs = {
-            name: PAPER_SUITE[name].build(scale)
-            for name in config.direction_matrices
-        }
-        direction_inputs[f"rmat{config.direction_rmat_scale}"] = rmat(
-            config.direction_rmat_scale, edge_factor=8, seed=7
+    direction_inputs = {
+        name: PAPER_SUITE[name].build(scale)
+        for name in config.direction_matrices
+    }
+    direction_inputs[f"rmat{config.direction_rmat_scale}"] = rmat(
+        config.direction_rmat_scale, edge_factor=8, seed=7
+    )
+    for name, A in direction_inputs.items():
+        seconds, identical = measure_direction_serial(A, repeats=config.repeats)
+        if not identical:
+            raise AssertionError(f"direction modes diverged on {name}")
+        metrics[f"direction.serial_bfs.{name}.adaptive.seconds"] = _metric(
+            seconds["adaptive"], "s", "lower", normalize=True, scale=scale
         )
-        for name, A in direction_inputs.items():
-            seconds, identical = measure_direction_serial(A, repeats=config.repeats)
-            if not identical:
-                raise AssertionError(f"direction modes diverged on {name}")
-            metrics[f"direction.serial_bfs.{name}.adaptive.seconds"] = _metric(
-                seconds["adaptive"], "s", "lower", normalize=True, scale=scale
-            )
-            metrics[f"direction.serial_bfs.{name}.speedup"] = _metric(
-                seconds["push"] / max(seconds["adaptive"], 1e-300),
-                "x",
-                "higher",
-                normalize=False,
-                scale=scale,
-            )
+        metrics[f"direction.serial_bfs.{name}.speedup"] = _metric(
+            seconds["push"] / max(seconds["adaptive"], 1e-300),
+            "x",
+            "higher",
+            normalize=False,
+            scale=scale,
+        )
     name = config.direction_dist_matrix
     A = PAPER_SUITE[name].build(scale)
     best = None

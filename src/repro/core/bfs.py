@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends import numpy_backend
 from ..sparse.csr import CSRMatrix
 from ..sparse.ragged import ragged_positions
 
@@ -25,15 +26,13 @@ def gather_rows(A: CSRMatrix, rows: np.ndarray) -> np.ndarray:
     return A.indices[ragged_positions(starts, A.indptr[rows + 1] - starts)]
 
 
-def bfs_levels(
-    A: CSRMatrix, root: int, backend=None, direction=None
-) -> tuple[np.ndarray, int]:
+def bfs_levels(A: CSRMatrix, root: int, direction=None) -> tuple[np.ndarray, int]:
     """Level of every vertex from ``root`` (-1 if unreachable).
 
     Returns ``(levels, nlevels)`` where ``nlevels`` counts nonempty levels
-    (the rooted level structure length, i.e. eccentricity + 1).  The
-    frontier-expansion kernel is supplied by the active kernel backend
-    (:mod:`repro.backends`); every backend returns identical levels.
+    (the rooted level structure length, i.e. eccentricity + 1).  Each
+    level is one call of a frontier-expansion kernel from
+    :mod:`repro.backends.numpy_backend`.
 
     ``direction`` selects the level kernel (:mod:`repro.core.direction`):
     ``"push"`` expands the frontier top-down, ``"pull"`` scans the
@@ -41,14 +40,12 @@ def bfs_levels(
     switches per level on Beamer-style edge-count thresholds.  Levels
     are identical for every direction — only the work profile changes.
     """
-    from ..backends import resolve_backend
     from .direction import PULL, PUSH, resolve_direction
 
     n = A.nrows
     if not (0 <= root < n):
         raise ValueError("root out of range")
     policy = resolve_direction(direction)
-    kernels = resolve_backend(backend)
     levels = np.full(n, -1, dtype=np.int64)
     unvisited = np.ones(n, dtype=bool)
     levels[root] = 0
@@ -73,9 +70,9 @@ def bfs_levels(
             else policy.mode
         )
         if current == PULL:
-            neigh = kernels.expand_frontier_pull(A, frontier, unvisited)
+            neigh = numpy_backend.expand_frontier_pull(A, frontier, unvisited)
         else:
-            neigh = kernels.expand_frontier(A, frontier, unvisited)
+            neigh = numpy_backend.expand_frontier(A, frontier, unvisited)
         depth += 1
         levels[neigh] = depth
         unvisited[neigh] = False

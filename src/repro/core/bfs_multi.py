@@ -246,7 +246,7 @@ def find_pseudo_peripheral_multi(
     lockstep bookkeeping loses to per-root scalar loops — fall back to
     the scalar :func:`~repro.core.pseudo_peripheral.find_pseudo_peripheral`
     loop.  Pass ``heuristic=False`` to force the batched sweep (the
-    backend-ablation bench does, to measure batching itself).
+    backend-ablation experiment does, to measure batching itself).
     ``direction`` (:mod:`repro.core.direction`) selects the
     push/pull/adaptive BFS level kernels for every sweep — scalar-loop
     fallbacks included.  Results are bit-identical either way.

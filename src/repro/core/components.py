@@ -13,6 +13,7 @@ import numpy as np
 
 from ..sparse.csr import CSRMatrix
 from .bfs import bfs_levels
+from .bfs_multi import masked_components
 
 __all__ = ["connected_components", "component_members", "is_connected"]
 
@@ -22,23 +23,17 @@ def connected_components(A: CSRMatrix) -> tuple[int, np.ndarray]:
 
     Returns ``(ncomponents, labels)``.  Component ids are assigned in
     increasing order of each component's smallest vertex, so isolated
-    vertex 0 is always component 0 — deterministic across runs.
+    vertex 0 is always component 0 — deterministic across runs.  One
+    vectorized :func:`~repro.core.bfs_multi.masked_components` pass
+    labels every vertex with its component's smallest id; ranking those
+    ids gives the component numbers, so the cost does not grow with the
+    number of components.
     """
     if A.nrows != A.ncols:
         raise ValueError("connected components need a square adjacency matrix")
-    n = A.nrows
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    cursor = 0
-    while True:
-        while cursor < n and labels[cursor] != -1:
-            cursor += 1
-        if cursor == n:
-            break
-        levels, _ = bfs_levels(A, cursor)
-        labels[levels >= 0] = comp
-        comp += 1
-    return comp, labels
+    smallest = masked_components(A, np.ones(A.nrows, dtype=bool))
+    ids, labels = np.unique(smallest, return_inverse=True)
+    return int(ids.size), labels.astype(np.int64, copy=False)
 
 
 def component_members(labels: np.ndarray) -> list[np.ndarray]:

@@ -12,8 +12,9 @@ adjacency for a frontier neighbor — costing
 ``sum_{v in unvisited} deg(v)`` instead.
 
 This module holds the **decision logic only**; the kernels live in
-:mod:`repro.semiring.spmspv` (``spmspv_pull``), the backends
-(``expand_frontier_pull``) and :mod:`repro.distributed.spmspv`
+:mod:`repro.semiring.spmspv` (``spmspv_pull``),
+:mod:`repro.backends.numpy_backend` (``expand_frontier_pull``) and
+:mod:`repro.distributed.spmspv`
 (``dist_spmspv_pull``).  Centralizing the heuristic keeps the serial,
 batched and distributed BFS loops switching at the same levels, and —
 because the inputs are global scalars every engine computes identically

@@ -7,7 +7,7 @@ RCM into (Table I): ``IND``, ``SELECT``, ``SET``, ``SPMSPV``, ``REDUCE``,
 numpy dense vectors; the distributed versions in
 :mod:`repro.distributed.primitives` implement the same contracts on
 2D-distributed data and must agree with these element-for-element — that
-equivalence is what the cross-backend tests assert.
+equivalence is what ``tests/test_cross_backend.py`` asserts.
 
 The paper's ``SET`` is overloaded (used both to refresh a sparse vector's
 payloads from a dense vector, Alg. 3 line 6, and to scatter a sparse
@@ -76,15 +76,9 @@ def read_dense(x: SparseVector, y: np.ndarray) -> SparseVector:
     return x.with_values(y[x.indices])
 
 
-def spmspv(
-    A: CSCMatrix, x: SparseVector, sr: Semiring, backend=None
-) -> SparseVector:
-    """``SPMSPV(A, x, SR)``: sparse matrix-sparse vector product.
-
-    ``backend`` selects the kernel backend (:mod:`repro.backends`);
-    ``None`` uses the process-wide default.
-    """
-    return spmspv_csc(A, x, sr, backend=backend)
+def spmspv(A: CSCMatrix, x: SparseVector, sr: Semiring) -> SparseVector:
+    """``SPMSPV(A, x, SR)``: sparse matrix-sparse vector product."""
+    return spmspv_csc(A, x, sr)
 
 
 def reduce_min(x: SparseVector, y: np.ndarray) -> float:
@@ -100,7 +94,7 @@ def reduce_argmin(x: SparseVector, y: np.ndarray) -> int:
     Algorithm 4 line 16 uses this form — the *vertex* of minimum degree in
     the last BFS level becomes the next root.  Since ``x.indices`` is
     sorted ascending, ``argmin`` ties resolve to the smallest vertex id,
-    which all backends replicate.
+    which the distributed reduction replicates.
     """
     if x.nnz == 0:
         raise ValueError("REDUCE over an empty frontier")

@@ -1,4 +1,4 @@
-"""RCM in matrix-algebraic form (paper Algorithms 3 and 4), serial backend.
+"""RCM in matrix-algebraic form (paper Algorithms 3 and 4), serial version.
 
 This module is the paper's pseudocode transcribed primitive-for-primitive
 against :mod:`repro.core.primitives`: the same `while` loops, the same
@@ -39,7 +39,6 @@ def pseudo_peripheral_algebraic(
     degrees: np.ndarray,
     start: int,
     sr: Semiring = SELECT2ND_MIN,
-    backend=None,
 ) -> tuple[int, int, int]:
     """Algorithm 4: find a pseudo-peripheral vertex via repeated BFS.
 
@@ -58,7 +57,7 @@ def pseudo_peripheral_algebraic(
         ell = 0
         while True:
             Lcur = read_dense(Lcur, L)
-            Lnext = spmspv(A, Lcur, sr, backend=backend)  # visit neighbors
+            Lnext = spmspv(A, Lcur, sr)  # visit neighbors
             Lnext = select(Lnext, L, lambda vals: vals == -1.0)  # unvisited
             if Lnext.nnz == 0:
                 break
@@ -80,7 +79,6 @@ def rcm_order_component(
     nv: int,
     sr: Semiring = SELECT2ND_MIN,
     sorted_levels: bool = True,
-    backend=None,
 ) -> int:
     """Algorithm 3: label ``root``'s component into dense ``R`` in place.
 
@@ -94,7 +92,7 @@ def rcm_order_component(
     nv += 1
     while Lcur.nnz != 0:
         Lcur = read_dense(Lcur, R)  # line 6: payloads <- labels
-        Lnext = spmspv(A, Lcur, sr, backend=backend)  # line 7: visit neighbors
+        Lnext = spmspv(A, Lcur, sr)  # line 7: visit neighbors
         Lnext = select(Lnext, R, lambda vals: vals == -1.0)  # line 8
         if sorted_levels:
             # line 9: lexicographic (parent label, degree, id) permutation
@@ -118,9 +116,8 @@ def rcm_algebraic(
     start: int | None = None,
     sr: Semiring = SELECT2ND_MIN,
     sorted_levels: bool = True,
-    backend=None,
 ) -> Ordering:
-    """Full RCM via Algorithms 3 + 4 (serial algebraic backend).
+    """Full RCM via Algorithms 3 + 4 (serial algebraic version).
 
     The multi-component driver matches the distributed one: while
     unvisited vertices remain, take the smallest unvisited vertex as the
@@ -147,15 +144,11 @@ def rcm_algebraic(
             cursor += 1
         seed = start if (first_component and start is not None) else cursor
         first_component = False
-        r, nlevels, bfs_count = pseudo_peripheral_algebraic(
-            A, degrees, seed, sr, backend=backend
-        )
+        r, nlevels, bfs_count = pseudo_peripheral_algebraic(A, degrees, seed, sr)
         roots.append(r)
         levels.append(nlevels)
         bfs_total += bfs_count
-        nv = rcm_order_component(
-            A, degrees, r, R, nv, sr, sorted_levels, backend=backend
-        )
+        nv = rcm_order_component(A, degrees, r, R, nv, sr, sorted_levels)
     cm_perm = invert_permutation(R.astype(np.int64))
     return Ordering(
         perm=cm_perm[::-1].copy(),  # line 14: return R in reverse order

@@ -119,7 +119,6 @@ def dist_bfs(
     compute_parents: bool = False,
     sr: Semiring = SELECT2ND_MIN,
     region: str = "bfs",
-    backend=None,
     direction: str = PUSH,
 ) -> DistBFSResult:
     """Level-synchronous BFS from ``root`` on the distributed matrix.
@@ -146,12 +145,10 @@ def dist_bfs(
     pull_calls = 0
     while True:
         if state.next_direction(frontier, frontier.idx.size) == PULL:
-            nxt = dist_spmspv_pull(
-                A, frontier, L.data == -1.0, sr, f"{region}:spmspv", backend=backend
-            )
+            nxt = dist_spmspv_pull(A, frontier, L.data == -1.0, sr, f"{region}:spmspv")
             pull_calls += 1
         else:
-            nxt = dist_spmspv(A, frontier, sr, f"{region}:spmspv", backend=backend)
+            nxt = dist_spmspv(A, frontier, sr, f"{region}:spmspv")
         calls += 1
         nxt = d_select(nxt, L, lambda vals: vals == -1.0, f"{region}:other")
         if d_nnz(nxt, f"{region}:other") == 0:

@@ -8,8 +8,8 @@ and modeled communication for the reducing primitives.
 
 Each function here is the 2D-distributed counterpart of a serial
 primitive in :mod:`repro.core.primitives` and must return element-for-
-element identical results — the property the cross-backend test suite
-enforces for every grid size.
+element identical results — the property
+``tests/test_cross_backend.py`` enforces for every grid size.
 
 Because the distributed vectors are flat structure-of-arrays
 (:mod:`repro.distributed.distvector`), every primitive runs as one fused

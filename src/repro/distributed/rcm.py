@@ -89,7 +89,6 @@ def distributed_pseudo_peripheral(
     degrees: DistDenseVector,
     start: int,
     sr: Semiring = SELECT2ND_MIN,
-    backend=None,
     direction: str = PUSH,
 ) -> tuple[int, int, int, int]:
     """Algorithm 4 on the grid: ``(vertex, nlevels, bfs_count, spmspv_calls)``."""
@@ -111,11 +110,9 @@ def distributed_pseudo_peripheral(
         while True:
             Lcur = d_read_dense(Lcur, L, "peripheral:other")
             if state.next_direction(Lcur, Lcur.idx.size) == PULL:
-                Lnext = dist_spmspv_pull(
-                    A, Lcur, L.data == -1.0, sr, "peripheral:spmspv", backend=backend
-                )
+                Lnext = dist_spmspv_pull(A, Lcur, L.data == -1.0, sr, "peripheral:spmspv")
             else:
-                Lnext = dist_spmspv(A, Lcur, sr, "peripheral:spmspv", backend=backend)
+                Lnext = dist_spmspv(A, Lcur, sr, "peripheral:spmspv")
             spmspv_calls += 1
             Lnext = d_select(
                 Lnext, L, lambda vals: vals == -1.0, "peripheral:other"
@@ -140,7 +137,6 @@ def _order_component(
     nv: int,
     sr: Semiring,
     sort_impl: str = "bucket",
-    backend=None,
     direction: str = PUSH,
 ) -> tuple[int, int]:
     """Algorithm 3 on the grid; returns ``(new nv, spmspv_calls)``."""
@@ -159,11 +155,9 @@ def _order_component(
         if state.next_direction(Lcur, nnz_cur) == PULL:
             # line 7, bottom-up: unvisited vertices (R == -1) scan for a
             # labeled frontier neighbor; fused mask replaces the SELECT
-            Lnext = dist_spmspv_pull(
-                A, Lcur, R.data == -1.0, sr, "ordering:spmspv", backend=backend
-            )
+            Lnext = dist_spmspv_pull(A, Lcur, R.data == -1.0, sr, "ordering:spmspv")
         else:
-            Lnext = dist_spmspv(A, Lcur, sr, "ordering:spmspv", backend=backend)  # line 7
+            Lnext = dist_spmspv(A, Lcur, sr, "ordering:spmspv")  # line 7
         spmspv_calls += 1
         Lnext = d_select(
             Lnext, R, lambda vals: vals == -1.0, "ordering:other"
@@ -221,7 +215,6 @@ def rcm_distributed(
     sr: Semiring = SELECT2ND_MIN,
     ctx: DistContext | None = None,
     sort_impl: str = "bucket",
-    backend=None,
     engine: str = "simulated",
     procs: int | None = None,
     direction: str = PUSH,
@@ -256,10 +249,6 @@ def rcm_distributed(
         ``"bucket"`` for the paper's specialized bucket sort,
         ``"sample"`` for the general samplesort (HykSort stand-in) used
         by the sort ablation.  Results are identical; costs differ.
-    backend:
-        Kernel backend (:mod:`repro.backends`) for the local SpMSpV
-        multiplies; ``None`` uses the process-wide default.  The
-        ordering is identical for every backend.
     engine:
         ``"simulated"`` (default) runs the SPMD loop in-process on the
         modeled machine; ``"processes"`` executes supersteps and
@@ -350,16 +339,13 @@ def rcm_distributed(
             )
             first = False
             r, nlevels, bfs_count, calls = distributed_pseudo_peripheral(
-                dA, degrees, seed, sr, backend=backend, direction=direction
+                dA, degrees, seed, sr, direction=direction
             )
             roots.append(r)
             levels.append(nlevels)
             bfs_total += bfs_count
             spmspv_calls += calls
-            nv, calls = _order_component(
-                dA, degrees, r, R, nv, sr, sort_impl,
-                backend=backend, direction=direction,
-            )
+            nv, calls = _order_component(dA, degrees, r, R, nv, sr, sort_impl, direction=direction)
             spmspv_calls += calls
     finally:
         # a context we created, we also tear down (worker pools must not

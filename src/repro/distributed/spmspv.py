@@ -33,8 +33,8 @@ Two drivers execute this plan:
   destinations at once.  O(1) numpy calls per superstep instead of
   O(p) Python iterations.
 * :func:`_dist_spmspv_perrank` — the per-rank reference driver: one loop
-  iteration per rank, per-block kernel calls through
-  :mod:`repro.backends`, engine supersteps for Phase B/C.  This is the
+  iteration per rank, per-block :mod:`repro.semiring.spmspv` kernel
+  calls, engine supersteps for Phase B/C.  This is the
   path the processes engine dispatches from (payloads are slices of the
   SoA views) and the oracle ``rank_vectorized=False`` runs for the
   equivalence suite.  Results and modeled ledgers are bit-identical
@@ -99,45 +99,16 @@ def _unpack(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return packed["index"].astype(np.int64, copy=True), packed["value"].copy()
 
 
-def _backend_name(backend):
-    """Engine-portable backend reference.
-
-    The registry name, resolvable in any process; an unregistered
-    instance ships as itself, so it must be picklable to cross the
-    processes engine's pipes.
-    """
-    from ..backends import resolve_backend
-
-    # resolve ``None`` to the *driver's* current default, so workers
-    # (whose default was frozen at fork time) follow the driver
-    resolved = resolve_backend(backend)
-    try:
-        if resolve_backend(resolved.name) is resolved:
-            return resolved.name
-    except KeyError:
-        pass
-    return resolved
-
-
 def dist_spmspv(
     A: DistSparseMatrix,
     x: DistSparseVector,
     sr: Semiring,
     region: str,
-    backend=None,
 ) -> DistSparseVector:
-    """``y = A x`` over semiring ``sr``; charges compute + comm to ``region``.
-
-    ``backend`` selects the local-multiply kernel backend
-    (:mod:`repro.backends`) used for the per-block Phase B multiplies of
-    the per-rank driver; the rank-vectorized driver computes all blocks
-    in one fused (backend-independent) numpy pass, so the flag only
-    affects execution on the processes engine or with
-    ``rank_vectorized=False``.  Results are identical either way.
-    """
+    """``y = A x`` over semiring ``sr``; charges compute + comm to ``region``."""
     if A.ctx.flat_supersteps:
         return _dist_spmspv_flat(A, x, sr, region)
-    return _dist_spmspv_perrank(A, x, sr, region, backend)
+    return _dist_spmspv_perrank(A, x, sr, region)
 
 
 # ----------------------------------------------------------------------
@@ -267,11 +238,9 @@ def _dist_spmspv_perrank(
     x: DistSparseVector,
     sr: Semiring,
     region: str,
-    backend=None,
 ) -> DistSparseVector:
     ctx = A.ctx
     g = ctx.grid
-    backend_ref = _backend_name(backend)
 
     col_inputs = _phase_a_perrank(A, x, region)
 
@@ -283,9 +252,7 @@ def _dist_spmspv_perrank(
         i, j = g.coords(r)
         xj = col_inputs[j]
         ops_per_rank.append(spmspv_work(A.block(i, j), xj))
-        payloads.append(
-            (matrix_key, r, xj.indices, xj.values, xj.n, sr, backend_ref)
-        )
+        payloads.append((matrix_key, r, xj.indices, xj.values, xj.n, sr))
     ctx.charge_compute(region, ops_per_rank)
     multiplied = ctx.run_superstep("spmspv_block", payloads, region)
     partials: dict[tuple[int, int], SparseVector] = {}
@@ -393,7 +360,6 @@ def dist_spmspv_pull(
     unvisited: np.ndarray,
     sr: Semiring,
     region: str,
-    backend=None,
 ) -> DistSparseVector:
     """Masked pull ``y = A x``: scan unvisited rows instead of frontier columns.
 
@@ -408,7 +374,7 @@ def dist_spmspv_pull(
     """
     if A.ctx.flat_supersteps:
         return _dist_spmspv_pull_flat(A, x, unvisited, sr, region)
-    return _dist_spmspv_pull_perrank(A, x, unvisited, sr, region, backend)
+    return _dist_spmspv_pull_perrank(A, x, unvisited, sr, region)
 
 
 def _dist_spmspv_pull_flat(
@@ -495,13 +461,11 @@ def _dist_spmspv_pull_perrank(
     unvisited: np.ndarray,
     sr: Semiring,
     region: str,
-    backend=None,
 ) -> DistSparseVector:
     ctx = A.ctx
     g = ctx.grid
     n = A.n
     offs = ctx.vector_offsets(n)
-    backend_ref = _backend_name(backend)
 
     col_inputs = _phase_a_perrank(A, x, region)
 
@@ -533,9 +497,7 @@ def _dist_spmspv_pull_perrank(
         # cached row degrees answer that without a driver-side CSR twin
         # (workers derive their own CSR lazily in the resident store)
         ops_per_rank.append(int(A.block(i, j).row_degrees()[mi].sum()))
-        payloads.append(
-            (matrix_key, r, xj.indices, xj.values, xj.n, mi, sr, backend_ref)
-        )
+        payloads.append((matrix_key, r, xj.indices, xj.values, xj.n, mi, sr))
     ctx.charge_compute(region, ops_per_rank)
     multiplied = ctx.run_superstep("spmspv_pull_block", payloads, region)
     partials: dict[tuple[int, int], SparseVector] = {}

@@ -86,18 +86,18 @@ def _copy_spans(state: RuntimeState, payload) -> int:
 def _spmspv_block(state: RuntimeState, payload):
     """Phase B of the 2D SpMSpV: one rank's local block multiply.
 
-    ``payload = (matrix_key, rank, x_indices, x_values, ncols, sr,
-    backend_name)``; the CSC block itself is resident in the object
-    store (registered once per matrix), so only the aligned input piece
-    crosses the wire.  Returns the partial output's ``(indices, values)``.
+    ``payload = (matrix_key, rank, x_indices, x_values, ncols, sr)``;
+    the CSC block itself is resident in the object store (registered
+    once per matrix), so only the aligned input piece crosses the wire.
+    Returns the partial output's ``(indices, values)``.
     """
     from ..semiring.spmspv import spmspv_csc
     from ..sparse.spvector import SparseVector
 
-    matrix_key, rank, idx, vals, ncols, sr, backend = payload
+    matrix_key, rank, idx, vals, ncols, sr = payload
     blk = state.objects[matrix_key][rank]
     x = SparseVector(int(ncols), idx, vals)
-    y = spmspv_csc(blk, x, sr, backend=backend)
+    y = spmspv_csc(blk, x, sr)
     return y.indices, y.values
 
 
@@ -106,7 +106,7 @@ def _spmspv_pull_block(state: RuntimeState, payload):
     """Pull-direction Phase B: one rank's masked bottom-up block multiply.
 
     ``payload = (matrix_key, rank, x_indices, x_values, ncols, row_mask,
-    sr, backend_name)``; the resident object is the CSC block — the
+    sr)``; the resident object is the CSC block — the
     row-major (CSR) form the pull kernel scans is derived on first use
     and cached in the same resident store under ``(rank, "rowmajor")``,
     so it is built once per (matrix, worker) and freed together with
@@ -116,14 +116,14 @@ def _spmspv_pull_block(state: RuntimeState, payload):
     from ..semiring.spmspv import spmspv_pull
     from ..sparse.spvector import SparseVector
 
-    matrix_key, rank, idx, vals, ncols, row_mask, sr, backend = payload
+    matrix_key, rank, idx, vals, ncols, row_mask, sr = payload
     store = state.objects[matrix_key]
     rowmajor = store.get((rank, "rowmajor"))
     if rowmajor is None:
         rowmajor = store[rank].to_csr()
         store[(rank, "rowmajor")] = rowmajor
     x = SparseVector(int(ncols), idx, vals)
-    y = spmspv_pull(rowmajor, x, sr, row_mask, backend=backend)
+    y = spmspv_pull(rowmajor, x, sr, row_mask)
     return y.indices, y.values
 
 
@@ -191,7 +191,7 @@ def _bench_run(state: RuntimeState, payload) -> tuple:
 
     The campaign orchestrator's executor: payloads come from
     :func:`repro.bench.orchestrate.expand_runs` as ``(experiment,
-    backend, kwargs)`` and errors return in-band (``("err",
+    kwargs)`` and errors return in-band (``("err",
     traceback)``) so one failing experiment cannot abort its wave —
     only a worker crash/hang reaches the pool's repair path.
     """

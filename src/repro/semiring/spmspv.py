@@ -29,11 +29,7 @@ A third kernel serves direction optimization (see
   ascending-column order the push kernels' dedup sort produces, so even
   order-sensitive semiring reductions agree exactly.
 
-The public functions here are *dispatchers*: they resolve a kernel
-backend (:mod:`repro.backends`) and delegate.  The pure-numpy reference
-implementations live alongside as ``_numpy``-suffixed functions; they are
-the default backend and the oracle every other backend is tested
-against.
+Each kernel is one vectorized numpy implementation.
 """
 
 from __future__ import annotations
@@ -98,16 +94,30 @@ def _group_reduce(
     return rows_sorted[starts], np.asarray(reduced, dtype=np.float64)
 
 
-# ----------------------------------------------------------------------
-# Pure-numpy reference kernels (the "numpy" backend)
-# ----------------------------------------------------------------------
-def spmspv_csc_numpy(
+def spmspv_csc(
     A: CSCMatrix,
     x: SparseVector,
     sr: Semiring,
     mask: np.ndarray | None = None,
 ) -> SparseVector:
-    """Reference CSC kernel: vectorized ragged column gather + reduce."""
+    """``y = A x`` over semiring ``sr`` using column gathers (CSC kernel).
+
+    One vectorized ragged gather of the columns ``IND(x)`` selects, then
+    a group-reduce by row.
+
+    Parameters
+    ----------
+    A:
+        ``nrows x ncols`` sparse matrix in CSC.
+    x:
+        Sparse input of length ``ncols``; payloads feed the semiring
+        multiply.
+    sr:
+        The semiring; for BFS use ``SELECT2ND_MIN``.
+    mask:
+        Optional dense boolean array of length ``nrows``; rows where the
+        mask is False are dropped from the output (fused SELECT).
+    """
     if x.n != A.ncols:
         raise ValueError("dimension mismatch between matrix and vector")
     if x.nnz == 0:
@@ -131,13 +141,20 @@ def spmspv_csc_numpy(
     return SparseVector(A.nrows, uniq_rows, reduced)
 
 
-def spmspv_csr_numpy(
+def spmspv_csr(
     A: CSRMatrix,
     x: SparseVector,
     sr: Semiring,
     mask: np.ndarray | None = None,
 ) -> SparseVector:
-    """Reference CSR kernel: dense-scan row/vector pattern intersection."""
+    """``y = A x`` over semiring ``sr`` using a row-major (CSR) kernel.
+
+    For every candidate output row the kernel intersects the row pattern
+    with the nonzeros of ``x`` — O(nnz(A)) regardless of ``nnz(x)`` in the
+    unmasked dense-scan form used here.  Exists to quantify the paper's
+    CSC-storage design choice; results are identical to
+    :func:`spmspv_csc`.
+    """
     if x.n != A.ncols:
         raise ValueError("dimension mismatch between matrix and vector")
     if x.nnz == 0:
@@ -166,13 +183,21 @@ def spmspv_csr_numpy(
     return SparseVector(A.nrows, uniq_rows, reduced)
 
 
-def spmspv_pull_numpy(
+def spmspv_pull(
     A: CSRMatrix,
     x: SparseVector,
     sr: Semiring,
     mask: np.ndarray | None = None,
 ) -> SparseVector:
-    """Reference pull kernel: masked row scan over the unvisited vertices.
+    """Masked pull (bottom-up) ``y = A x``: scan ``mask``'s rows.
+
+    The direction-optimized counterpart of :func:`spmspv_csc`: the same
+    semiring product, computed by intersecting each masked row's pattern
+    with ``x`` instead of gathering the frontier's columns.  With
+    ``mask`` the unvisited set, the output equals
+    ``spmspv_csc(A_csc, x, sr, mask)`` bit-for-bit while performing
+    :func:`spmspv_pull_work` operations — the smaller side when the
+    frontier is dense.  ``mask=None`` scans every row.
 
     Gathers the adjacency of the mask's rows (one ragged gather), keeps
     the entries whose column is a nonzero of ``x``, and group-reduces by
@@ -217,8 +242,11 @@ def spmspv_pull_numpy(
     return SparseVector(A.nrows, uniq_rows, reduced)
 
 
-def spmv_dense_numpy(A: CSRMatrix, x: np.ndarray, sr: Semiring) -> np.ndarray:
-    """Reference dense-vector semiring product."""
+def spmv_dense(A: CSRMatrix, x: np.ndarray, sr: Semiring) -> np.ndarray:
+    """Dense-vector semiring product ``y = A x``.
+
+    Rows with no nonzeros map to the semiring's additive identity.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.ncols,):
         raise ValueError("dimension mismatch")
@@ -229,90 +257,3 @@ def spmv_dense_numpy(A: CSRMatrix, x: np.ndarray, sr: Semiring) -> np.ndarray:
     uniq, reduced = _group_reduce(A.row_of_entry(), products, sr)
     out[uniq] = reduced
     return out
-
-
-# ----------------------------------------------------------------------
-# Backend dispatchers (the public kernel API)
-# ----------------------------------------------------------------------
-def spmspv_csc(
-    A: CSCMatrix,
-    x: SparseVector,
-    sr: Semiring,
-    mask: np.ndarray | None = None,
-    backend=None,
-) -> SparseVector:
-    """``y = A x`` over semiring ``sr`` using column gathers (CSC kernel).
-
-    Parameters
-    ----------
-    A:
-        ``nrows x ncols`` sparse matrix in CSC.
-    x:
-        Sparse input of length ``ncols``; payloads feed the semiring
-        multiply.
-    sr:
-        The semiring; for BFS use ``SELECT2ND_MIN``.
-    mask:
-        Optional dense boolean array of length ``nrows``; rows where the
-        mask is False are dropped from the output (fused SELECT).
-    backend:
-        Kernel backend name or instance (:mod:`repro.backends`);
-        ``None`` uses the process-wide default.
-    """
-    from ..backends import resolve_backend
-
-    return resolve_backend(backend).spmspv_csc(A, x, sr, mask)
-
-
-def spmspv_csr(
-    A: CSRMatrix,
-    x: SparseVector,
-    sr: Semiring,
-    mask: np.ndarray | None = None,
-    backend=None,
-) -> SparseVector:
-    """``y = A x`` over semiring ``sr`` using a row-major (CSR) kernel.
-
-    For every candidate output row the kernel intersects the row pattern
-    with the nonzeros of ``x`` — O(nnz(A)) regardless of ``nnz(x)`` in the
-    unmasked dense-scan form used here.  Exists to quantify the paper's
-    CSC-storage design choice; results are identical to
-    :func:`spmspv_csc`.
-    """
-    from ..backends import resolve_backend
-
-    return resolve_backend(backend).spmspv_csr(A, x, sr, mask)
-
-
-def spmspv_pull(
-    A: CSRMatrix,
-    x: SparseVector,
-    sr: Semiring,
-    mask: np.ndarray | None = None,
-    backend=None,
-) -> SparseVector:
-    """Masked pull (bottom-up) ``y = A x``: scan ``mask``'s rows.
-
-    The direction-optimized counterpart of :func:`spmspv_csc`: the same
-    semiring product, computed by intersecting each masked row's pattern
-    with ``x`` instead of gathering the frontier's columns.  With
-    ``mask`` the unvisited set, the output equals
-    ``spmspv_csc(A_csc, x, sr, mask)`` bit-for-bit while performing
-    :func:`spmspv_pull_work` operations — the smaller side when the
-    frontier is dense.  ``mask=None`` scans every row.
-    """
-    from ..backends import resolve_backend
-
-    return resolve_backend(backend).spmspv_pull(A, x, sr, mask)
-
-
-def spmv_dense(
-    A: CSRMatrix, x: np.ndarray, sr: Semiring, backend=None
-) -> np.ndarray:
-    """Dense-vector semiring product ``y = A x`` (used in tests/solvers).
-
-    Rows with no nonzeros map to the semiring's additive identity.
-    """
-    from ..backends import resolve_backend
-
-    return resolve_backend(backend).spmv_dense(A, x, sr)

@@ -28,29 +28,22 @@ from .hashing import build_spec
 __all__ = ["encode_request", "execute_request"]
 
 
-def encode_request(matrix, scale: float = 1.0, backend: str | None = None) -> tuple:
+def encode_request(matrix, scale: float = 1.0) -> tuple:
     """The picklable payload of one serial-lane request.
 
     A :class:`CSRMatrix` ships its arrays verbatim; a spec string ships
     as-is and the worker builds the matrix (deterministic generators:
     the result is the same matrix the driver would have built, without
-    pushing megabytes through the pipe).  ``backend`` is a kernel
-    backend spec string the worker runs the ordering under; it is
-    appended only when set, so pre-existing payload shapes (and their
-    consumers) are untouched.
+    pushing megabytes through the pipe).
     """
     if isinstance(matrix, CSRMatrix):
-        payload = ("csr", matrix.nrows, matrix.ncols, matrix.indptr,
-                   matrix.indices, matrix.data)
-    elif isinstance(matrix, str):
-        payload = ("spec", matrix, scale)
-    else:
-        raise TypeError(
-            f"expected a CSRMatrix or a spec string, got {type(matrix).__name__}"
-        )
-    if backend is not None:
-        payload = payload + (("backend", backend),)
-    return payload
+        return ("csr", matrix.nrows, matrix.ncols, matrix.indptr,
+                matrix.indices, matrix.data)
+    if isinstance(matrix, str):
+        return ("spec", matrix, scale)
+    raise TypeError(
+        f"expected a CSRMatrix or a spec string, got {type(matrix).__name__}"
+    )
 
 
 def execute_request(payload: tuple) -> tuple:
@@ -62,21 +55,8 @@ def execute_request(payload: tuple) -> tuple:
     keeps the batch.
     """
     try:
-        import contextlib
-
-        from ..backends import backend_scope
         from ..core.rcm_serial import rcm_serial
 
-        payload = tuple(payload)
-        backend = None
-        if (
-            payload
-            and isinstance(payload[-1], tuple)
-            and len(payload[-1]) == 2
-            and payload[-1][0] == "backend"
-        ):
-            backend = payload[-1][1]
-            payload = payload[:-1]
         ledger = CostLedger()
         t0 = time.perf_counter()
         kind = payload[0]
@@ -94,12 +74,7 @@ def execute_request(payload: tuple) -> tuple:
             "service:build", time.perf_counter() - t0, operations=A.indices.size
         )
         t1 = time.perf_counter()
-        scope = (
-            backend_scope(backend) if backend is not None
-            else contextlib.nullcontext()
-        )
-        with scope:
-            ordering = rcm_serial(A)
+        ordering = rcm_serial(A)
         ledger.charge_compute(
             "service:rcm", time.perf_counter() - t1, operations=A.indices.size
         )

@@ -213,16 +213,6 @@ async def start_service_server(
     return server, service
 
 
-def _backend_spec(text: str) -> str:
-    """Argparse type: validate a backend name against the registry."""
-    from ..bench.api import resolve_backend_spec
-
-    try:
-        return resolve_backend_spec(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
@@ -286,16 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4096,
         help="disk-tier entry bound (least-recently-read evicted)",
     )
-    parser.add_argument(
-        "--backend",
-        type=_backend_spec,
-        default=None,
-        metavar="NAME",
-        help=(
-            "kernel backend both lanes run under, e.g. 'numpy' or 'scipy' "
-            "(default: the process default backend)"
-        ),
-    )
     return parser
 
 
@@ -309,7 +289,6 @@ async def _run(args) -> int:
         max_retries=args.max_retries,
         disk_cache_dir=args.disk_cache,
         disk_cache_capacity=args.disk_cache_capacity,
-        backend=args.backend,
     )
     server, service = await start_service_server(config, args.host, args.port)
     bound = server.sockets[0].getsockname()

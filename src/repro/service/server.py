@@ -138,9 +138,6 @@ class ServiceConfig:
     disk_cache_dir: Any = None
     #: bounded entry count of the disk tier
     disk_cache_capacity: int = 4096
-    #: kernel-backend name for both lanes ("numpy", "scipy"); None keeps
-    #: each worker's default
-    backend: str | None = None
 
 
 @dataclass
@@ -248,11 +245,6 @@ class ReorderingService:
         """Fork and warm the worker pool, start the scheduler."""
         if self._started:
             raise RuntimeError("service already started")
-        if self.config.backend is not None:
-            from ..bench.api import resolve_backend_spec
-
-            # fail fast on a bad name — before forking a pool for it
-            resolve_backend_spec(self.config.backend)
         self._queue = asyncio.Queue()
         self._pool = WorkerPool(self.config.workers, deadline=self.config.deadline)
         self._pool.ping()  # warm: first dispatch pays no fork/attach cost
@@ -401,10 +393,7 @@ class ReorderingService:
         dispatched_at = time.perf_counter()
         serial = [job for job in batch if job.nprocs is None]
         if serial:
-            payloads = [
-                encode_request(job.matrix, self.config.scale, self.config.backend)
-                for job in serial
-            ]
+            payloads = [encode_request(job.matrix, self.config.scale) for job in serial]
             try:
                 t0 = time.perf_counter()
                 replies, _, _ = await asyncio.to_thread(
@@ -464,9 +453,7 @@ class ReorderingService:
             matrix = build_spec(matrix, self.config.scale)
         ctx = self._dist_ctx(job.nprocs)
         t0 = time.perf_counter()
-        result = _rcm_distributed()(
-            matrix, ctx=ctx.fork_ledger(), backend=self.config.backend
-        )
+        result = _rcm_distributed()(matrix, ctx=ctx.fork_ledger())
         compute_ms = (time.perf_counter() - t0) * 1000.0
         return _Computed(
             perm=result.ordering.perm,

@@ -37,7 +37,7 @@ class CSCMatrix:
     ) -> None:
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        # derived-array cache (e.g. backend-specific matrix handles);
+        # derived-array cache (e.g. row degrees);
         # the structure arrays are treated as immutable once constructed
         self._cache: dict = {}
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)

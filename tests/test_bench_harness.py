@@ -168,22 +168,20 @@ def test_cli_json_and_backend_flags(capsys):
                 "0.45",
                 "--matrices",
                 "serena",
-                "--backend",
-                "numpy",
                 "--json",
             ]
         )
         == 0
     )
     doc = json.loads(capsys.readouterr().out)
-    assert doc["backend"] == "numpy"
+    assert "backend" not in doc
     entry = doc["experiments"][0]
     assert entry["experiment"] == "fig3"
     # the uniform ExperimentResult document, not ad-hoc per-command JSON
     result = ExperimentResult.from_dict(entry["result"])
     assert result.name == "fig3"
     assert "Fig. 3" in result.title
-    assert result.params["backend"] == "numpy"
+    assert "backend" not in result.params
 
 
 def test_calibration_simulated_mode_reports_model_only():

@@ -1,4 +1,4 @@
-"""Cross-backend determinism: serial == algebraic == distributed.
+"""Cross-implementation determinism: serial == algebraic == distributed.
 
 This is the library's strongest guarantee and the paper's contribution #2
 ("the quality ... remains insensitive to the degree of concurrency" —
@@ -12,7 +12,7 @@ import pytest
 from repro.core import rcm_algebraic, rcm_serial
 from repro.distributed import rcm_distributed
 from repro.machine import zero_latency
-from repro.matrices import disconnected_union, path_graph, stencil_2d, stencil_3d
+from repro.matrices import PAPER_SUITE, disconnected_union, path_graph, stencil_2d, stencil_3d
 from tests.conftest import csr_from_edges
 
 GRIDS = [1, 4, 9, 16, 25]
@@ -37,6 +37,14 @@ def graphs():
 @pytest.mark.parametrize("name,A", list(graphs()), ids=lambda g: g if isinstance(g, str) else "")
 def test_algebraic_equals_serial(name, A):
     assert np.array_equal(rcm_algebraic(A).perm, rcm_serial(A).perm)
+
+
+def test_rcm_orderings_identical_across_paper_suite():
+    """The acceptance bar: identical orderings on every suite surrogate."""
+    for name in PAPER_SUITE:
+        A = PAPER_SUITE[name].build(0.4)
+        oracle = rcm_serial(A).perm
+        assert np.array_equal(rcm_algebraic(A).perm, oracle), name
 
 
 @pytest.mark.parametrize("p", GRIDS)

@@ -217,7 +217,6 @@ def test_random_permute_and_backends_survive_engine_swap(pool):
         A,
         ctx=DistContext(grid, engine="processes", pool=pool),
         random_permute=0,
-        backend="numpy",
     )
     assert np.array_equal(proc_res.ordering.perm, sim_res.ordering.perm)
 

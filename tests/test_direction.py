@@ -5,17 +5,16 @@ bit-identical results whatever the direction — forced ``"push"``,
 forced ``"pull"``, or the adaptive Beamer-style switch — because the
 pull kernels visit candidates in the same ascending order the push
 kernels' dedup sort produces.  This suite pins the serial layer: the
-semiring pull kernel against masked push on every backend, the BFS
-loops, the batched multi-source sweep, the pseudo-peripheral finder,
-and the DirectionPolicy edge cases the ISSUE names (empty frontier,
-all-dense first level / star graph, disconnected components, forced
-overrides).
+semiring pull kernel against masked push, the BFS loops, the batched
+multi-source sweep, the pseudo-peripheral finder, and the
+DirectionPolicy edge cases (empty frontier, all-dense first level /
+star graph, disconnected components, forced overrides).
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, backend_scope, resolve_backend
+from repro.backends import numpy_backend
 from repro.core.bfs import bfs_levels
 from repro.core.bfs_multi import bfs_levels_multi, find_pseudo_peripheral_multi
 from repro.core.direction import (
@@ -104,11 +103,10 @@ def test_adaptive_hysteresis_thresholds():
 
 
 # ----------------------------------------------------------------------
-# Semiring pull kernel vs masked push, every backend
+# Semiring pull kernel vs masked push
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("name,A", list(graphs()))
-def test_spmspv_pull_matches_masked_push(backend, name, A):
+def test_spmspv_pull_matches_masked_push(name, A):
     Ac = CSCMatrix(A.nrows, A.ncols, A.indptr, A.indices, A.data)
     rng = np.random.default_rng(7)
     visited = rng.random(A.nrows) < 0.4
@@ -118,9 +116,9 @@ def test_spmspv_pull_matches_masked_push(backend, name, A):
     x = SparseVector(A.nrows, idx, idx.astype(np.float64) + 1.0)
     for sr in (SELECT2ND_MIN, PLUS_TIMES, MIN_PLUS):
         y_push = spmspv_csc(Ac, x, sr, ~visited)
-        y_pull = spmspv_pull(A, x, sr, ~visited, backend=backend)
-        assert np.array_equal(y_push.indices, y_pull.indices), (name, backend)
-        assert np.array_equal(y_push.values, y_pull.values), (name, backend)
+        y_pull = spmspv_pull(A, x, sr, ~visited)
+        assert np.array_equal(y_push.indices, y_pull.indices), name
+        assert np.array_equal(y_push.values, y_pull.values), name
 
 
 def test_spmspv_pull_empty_frontier_and_empty_mask():
@@ -147,32 +145,28 @@ def test_spmspv_pull_work_counts_masked_row_degrees():
 
 
 # ----------------------------------------------------------------------
-# BFS loops: all modes, all backends, identical levels
+# BFS loops: all modes, identical levels
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("name,A", list(graphs()))
-def test_bfs_levels_identical_across_directions(backend, name, A):
-    with backend_scope(backend):
-        ref_levels, ref_n = bfs_levels(A, 0, direction=PUSH)
-        for mode in (PULL, ADAPTIVE):
-            levels, nlv = bfs_levels(A, 0, direction=mode)
-            assert np.array_equal(levels, ref_levels), (name, backend, mode)
-            assert nlv == ref_n
+def test_bfs_levels_identical_across_directions(name, A):
+    ref_levels, ref_n = bfs_levels(A, 0, direction=PUSH)
+    for mode in (PULL, ADAPTIVE):
+        levels, nlv = bfs_levels(A, 0, direction=mode)
+        assert np.array_equal(levels, ref_levels), (name, mode)
+        assert nlv == ref_n
 
 
 def test_expand_frontier_pull_matches_push_per_level(grid8x8):
     A = grid8x8
-    for backend in available_backends():
-        k = resolve_backend(backend)
-        unvisited = np.ones(A.nrows, bool)
-        unvisited[0] = False
-        frontier = np.array([0], dtype=np.int64)
-        while frontier.size:
-            neigh_push = k.expand_frontier(A, frontier, unvisited)
-            neigh_pull = k.expand_frontier_pull(A, frontier, unvisited)
-            assert np.array_equal(neigh_push, neigh_pull), backend
-            unvisited[neigh_push] = False
-            frontier = neigh_push
+    unvisited = np.ones(A.nrows, bool)
+    unvisited[0] = False
+    frontier = np.array([0], dtype=np.int64)
+    while frontier.size:
+        neigh_push = numpy_backend.expand_frontier(A, frontier, unvisited)
+        neigh_pull = numpy_backend.expand_frontier_pull(A, frontier, unvisited)
+        assert np.array_equal(neigh_push, neigh_pull)
+        unvisited[neigh_push] = False
+        frontier = neigh_push
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -266,30 +260,26 @@ def test_disconnected_components_stay_unreached(mode):
 
 def test_forced_overrides_reach_both_kernels(monkeypatch):
     """direction='push'/'pull' really forces the respective kernel."""
-    import repro.backends.numpy_backend as nb
-
     A = stencil_2d(6, 6)
     calls = {"push": 0, "pull": 0}
-    backend = resolve_backend("numpy")
-    orig_push = type(backend).expand_frontier
-    orig_pull = type(backend).expand_frontier_pull
+    orig_push = numpy_backend.expand_frontier
+    orig_pull = numpy_backend.expand_frontier_pull
 
-    def count_push(self, *a, **k):
+    def count_push(*a, **k):
         calls["push"] += 1
-        return orig_push(self, *a, **k)
+        return orig_push(*a, **k)
 
-    def count_pull(self, *a, **k):
+    def count_pull(*a, **k):
         calls["pull"] += 1
-        return orig_pull(self, *a, **k)
+        return orig_pull(*a, **k)
 
-    monkeypatch.setattr(nb.NumpyBackend, "expand_frontier", count_push)
-    monkeypatch.setattr(nb.NumpyBackend, "expand_frontier_pull", count_pull)
-    with backend_scope("numpy"):
-        bfs_levels(A, 0, direction=PUSH)
-        assert calls["pull"] == 0 and calls["push"] > 0
-        calls["push"] = 0
-        bfs_levels(A, 0, direction=PULL)
-        assert calls["push"] == 0 and calls["pull"] > 0
+    monkeypatch.setattr(numpy_backend, "expand_frontier", count_push)
+    monkeypatch.setattr(numpy_backend, "expand_frontier_pull", count_pull)
+    bfs_levels(A, 0, direction=PUSH)
+    assert calls["pull"] == 0 and calls["push"] > 0
+    calls["push"] = 0
+    bfs_levels(A, 0, direction=PULL)
+    assert calls["push"] == 0 and calls["pull"] > 0
 
 
 def _suite_names():

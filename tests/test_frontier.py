@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.backends.frontier import filtered_unique, sorted_unique
-from repro.backends.numpy_backend import expand_frontier_pull_numpy
+from repro.backends.numpy_backend import expand_frontier, expand_frontier_pull
 from repro.core.bfs_multi import _expand_pull_multi
+from tests.conftest import csr_from_edges
 
 N = 10
 
@@ -57,10 +58,19 @@ def test_pull_kernels_reach_the_last_vertex():
     A = path_graph(N)
     unvisited = np.ones(N, dtype=bool)
     unvisited[: N - 1] = False
-    got = expand_frontier_pull_numpy(A, np.array([N - 2]), unvisited)
+    got = expand_frontier_pull(A, np.array([N - 2]), unvisited)
     assert np.array_equal(got, [N - 1])
     multi = _expand_pull_multi(A, N, np.array([0]), np.array([N - 2]), unvisited, A.degrees())
     assert np.array_equal(multi, [N - 1])
     # everything visited: nothing to pull
     none = np.zeros(N, dtype=bool)
-    assert expand_frontier_pull_numpy(A, np.array([N - 2]), none).size == 0
+    assert expand_frontier_pull(A, np.array([N - 2]), none).size == 0
+
+
+def test_expand_frontier_empty_and_isolated():
+    A = csr_from_edges(4, [(0, 1), (1, 3)])  # vertex 2 isolated
+    unvisited = np.ones(4, dtype=bool)
+    assert expand_frontier(A, np.empty(0, dtype=np.int64), unvisited).size == 0
+    assert expand_frontier(A, np.array([2]), unvisited).size == 0
+    got = expand_frontier(A, np.array([1]), unvisited)
+    assert np.array_equal(got, [0, 3])

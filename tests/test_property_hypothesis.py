@@ -131,21 +131,6 @@ def test_csc_csr_kernels_always_agree(g, seed):
         assert spmspv_csc(csc, x, sr) == spmspv_csr(A, x, sr)
 
 
-@given(graphs(max_n=24))
-@settings(max_examples=30, deadline=None)
-def test_ordering_is_backend_invariant(g):
-    """RCM orderings are bit-identical under every registered backend —
-    the backend registry's core contract, on arbitrary graphs."""
-    from repro.backends import available_backends, backend_scope
-
-    n, edges = g
-    A = csr_from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-    oracle = rcm_serial(A).perm
-    for backend in available_backends():
-        with backend_scope(backend):
-            assert np.array_equal(rcm_serial(A).perm, oracle), backend
-
-
 # ----------------------------------------------------------------------
 # Distributed bucket sort
 # ----------------------------------------------------------------------

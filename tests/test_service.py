@@ -412,6 +412,9 @@ def test_serve_cli_parser_defaults():
     )
     assert args.deadline == 2.5 and args.max_retries == 3
     assert args.disk_cache == "/tmp/dc"
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--backend", "numpy"])  # no such flag
+    assert exc.value.code == 2
 
 
 def test_tcp_oversized_line_gets_413_and_connection_survives(monkeypatch):

@@ -79,6 +79,11 @@ def test_csr_kernel_matches_csc(random_graph, sr):
     idx = np.sort(rng.choice(random_graph.nrows, size=7, replace=False))
     x = SparseVector(random_graph.nrows, idx.astype(np.int64), 1.0 + rng.random(7))
     assert spmspv_csc(A_csc, x, sr) == spmspv_csr(random_graph, x, sr)
+    mask = np.zeros(random_graph.nrows, dtype=bool)
+    mask[::2] = True
+    y = spmspv_csc(A_csc, x, sr, mask)
+    assert y.nnz > 0 and mask[y.indices].all()
+    assert y == spmspv_csr(random_graph, x, sr, mask)
 
 
 def test_spmspv_work_counts_selected_columns(path5, chain_csc):
