@@ -159,13 +159,7 @@ def dist_bfs(
         if compute_parents:
             d_set_dense(P, nxt, f"{region}:other")  # payload = min parent id
             # the next frontier's payloads must carry its own vertex ids
-            frontier = DistSparseVector(
-                ctx,
-                n,
-                nxt.idx.copy(),
-                nxt.idx.astype(np.float64),
-                nxt.starts.copy(),
-            )
+            frontier = nxt.with_values(nxt.idx)
         else:
             frontier = nxt
     return DistBFSResult(

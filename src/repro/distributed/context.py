@@ -142,38 +142,26 @@ class DistContext:
         """Charge one superstep of local kernel work.
 
         ``ops_per_rank[k]`` is the scalar-operation count rank ``k``
-        performed; the superstep's elapsed time is the slowest rank's.
-        Accepts a list or an ndarray (the batched charging path: one call
-        per superstep with a per-rank cost array, no per-rank loop).
+        performed (a list or an array); the superstep's elapsed time is
+        the slowest rank's.
         """
-        if not len(ops_per_rank):
-            return
-        if isinstance(ops_per_rank, np.ndarray):
-            worst = ops_per_rank.max()
-            total = int(ops_per_rank.sum())
-        else:
-            worst = max(ops_per_rank)
-            total = int(sum(ops_per_rank))
-        self.ledger.charge_compute(
-            region, self.machine.compute_time(worst), operations=total
-        )
+        ops = np.asarray(ops_per_rank)
+        if ops.size:
+            self.ledger.charge_compute(
+                region, self.machine.compute_time(ops.max()), operations=int(ops.sum())
+            )
 
     def charge_sort(self, region: str, keys_per_rank: Sequence[float]) -> None:
         """Charge one superstep of local comparison sorting.
 
-        Accepts a list or an ndarray; ``sort_time`` is monotonic in the
-        key count, so the batched path charges ``sort_time(max(keys))``
-        — the exact value the per-rank maximum would have produced.
+        ``sort_time`` is monotonic in the key count, so the slowest rank
+        is the one with the most keys.
         """
-        if not len(keys_per_rank):
-            return
-        if isinstance(keys_per_rank, np.ndarray):
-            worst = self.machine.sort_time(float(keys_per_rank.max()))
-            total = int(keys_per_rank.sum())
-        else:
-            worst = max(self.machine.sort_time(k) for k in keys_per_rank)
-            total = int(sum(keys_per_rank))
-        self.ledger.charge_compute(region, worst, operations=total)
+        keys = np.asarray(keys_per_rank)
+        if keys.size:
+            self.ledger.charge_compute(
+                region, self.machine.sort_time(float(keys.max())), operations=int(keys.sum())
+            )
 
     # ------------------------------------------------------------------
     # Superstep execution (the compute half of the engine contract)

@@ -27,92 +27,44 @@ __all__ = ["DistSparseMatrix"]
 
 
 class _FlatBlocks:
-    """Rank-fused view of all blocks for the vectorized SpMSpV driver.
+    """Rank-fused cell index of all blocks for the vectorized SpMSpV drivers.
 
-    Entries are grouped by *cell* — the pair ``(global column c, block
-    row i)``, a single block's slice of one column — laid out in cell-id
-    order with ``cell_id = c * pr + i``.  Within a cell, entries keep the
-    block's CSC order (ascending row), so a multi-range gather over
-    cells reproduces every rank's per-block column gather at once.  The
-    cells of one column are adjacent, so its whole gather is the single
-    range ``cell_ptr[c * pr] : cell_ptr[(c + 1) * pr]``.  ``row_block``
-    maps a global row to its block row.
+    Entries are grouped by *cell*, one block's slice of one matrix line,
+    laid out in cell-id order.  The push layout (``by_rows=False``) keys
+    cells by ``(global column c, block row i)`` with ``cell_id = c * pr +
+    i``; the pull layout (``by_rows=True``) swaps the roles, ``(global
+    row r, block column j)`` with ``cell_id = r * pc + j``.  ``minor``
+    holds each entry's other global coordinate (its row in the push
+    layout, its column in the pull layout).  One stable sort by cell id
+    builds both: within a cell, entries keep the block's CSC order, so
+    push cells list rows ascending (a multi-range gather over cells
+    reproduces every rank's per-block column gather at once) and pull
+    cells list columns ascending (the scan order that makes the pull
+    kernel's reductions bit-identical to the push kernel's).  The cells
+    of one line are adjacent, so a push column's whole gather is the
+    single range ``cell_ptr[c * pr] : cell_ptr[(c + 1) * pr]``.
     """
 
-    __slots__ = ("pr", "cell_ptr", "grow", "vals", "row_block")
+    __slots__ = ("cell_ptr", "minor", "vals")
 
-    def __init__(self, mat: "DistSparseMatrix") -> None:
+    def __init__(self, mat: "DistSparseMatrix", by_rows: bool) -> None:
         grid = mat.ctx.grid
-        self.pr = grid.pr
-        self.row_block = np.repeat(np.arange(self.pr, dtype=np.int64), np.diff(mat.row_offsets))
-        keys, grows, vals = [], [], []
+        ways = grid.pc if by_rows else grid.pr
+        keys, minors, vals = [], [], []
         for (i, j), blk in mat.blocks.items():
-            if blk.nnz == 0:
-                continue
-            local_cols = np.repeat(
-                np.arange(blk.ncols, dtype=np.int64), blk.col_degrees()
-            )
-            keys.append((local_cols + mat.col_offsets[j]) * self.pr + i)
-            grows.append(blk.indices + mat.row_offsets[i])
+            gcol = np.repeat(np.arange(blk.ncols, dtype=np.int64), blk.col_degrees())
+            gcol += mat.col_offsets[j]
+            grow = blk.indices + mat.row_offsets[i]
+            major, minor, block = (grow, gcol, j) if by_rows else (gcol, grow, i)
+            keys.append(major * ways + block)
+            minors.append(minor)
             vals.append(blk.data)
-        if keys:
-            key = np.concatenate(keys)
-            order = np.argsort(key, kind="stable")
-            self.grow = np.concatenate(grows)[order]
-            self.vals = np.concatenate(vals)[order]
-            counts = np.bincount(key, minlength=mat.n * self.pr)
-        else:
-            self.grow = np.empty(0, dtype=np.int64)
-            self.vals = np.empty(0, dtype=np.float64)
-            counts = np.zeros(mat.n * self.pr, dtype=np.int64)
-        self.cell_ptr = np.zeros(mat.n * self.pr + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.cell_ptr[1:])
-
-    def col_degrees(self, n: int) -> np.ndarray:
-        """Global column nnz (sum of every block's column degrees)."""
-        return np.diff(self.cell_ptr).reshape(n, self.pr).sum(axis=1)
-
-
-class _FlatRows:
-    """Row-major rank-fused view for the vectorized *pull* SpMSpV driver.
-
-    The transpose-layout twin of :class:`_FlatBlocks`: entries are
-    grouped by the pair ``(global row r, block column j)`` with
-    ``cell_id = r * pc + j``, each cell holding one block's slice of one
-    matrix *row*.  Within a cell, entries keep ascending global-column
-    order (CSC stores column-major with rows ascending, so a stable sort
-    by cell id leaves each row's surviving entries column-ascending) —
-    the scan order that makes the pull kernel's reductions bit-identical
-    to the push kernel's.
-    """
-
-    __slots__ = ("pc", "cell_ptr", "gcol", "vals")
-
-    def __init__(self, mat: "DistSparseMatrix") -> None:
-        grid = mat.ctx.grid
-        self.pc = grid.pc
-        keys, gcols, vals = [], [], []
-        for (i, j), blk in mat.blocks.items():
-            if blk.nnz == 0:
-                continue
-            local_cols = np.repeat(
-                np.arange(blk.ncols, dtype=np.int64), blk.col_degrees()
-            )
-            keys.append((blk.indices + mat.row_offsets[i]) * self.pc + j)
-            gcols.append(local_cols + mat.col_offsets[j])
-            vals.append(blk.data)
-        if keys:
-            key = np.concatenate(keys)
-            order = np.argsort(key, kind="stable")
-            self.gcol = np.concatenate(gcols)[order]
-            self.vals = np.concatenate(vals)[order]
-            counts = np.bincount(key, minlength=mat.n * self.pc)
-        else:
-            self.gcol = np.empty(0, dtype=np.int64)
-            self.vals = np.empty(0, dtype=np.float64)
-            counts = np.zeros(mat.n * self.pc, dtype=np.int64)
-        self.cell_ptr = np.zeros(mat.n * self.pc + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.cell_ptr[1:])
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        self.minor = np.concatenate(minors)[order]
+        self.vals = np.concatenate(vals)[order]
+        self.cell_ptr = np.zeros(mat.n * ways + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=mat.n * ways), out=self.cell_ptr[1:])
 
 
 class DistSparseMatrix:
@@ -144,7 +96,7 @@ class DistSparseMatrix:
         self.col_offsets = col_offsets
         self._key = ctx.new_object_key("dmat")
         self._flat: _FlatBlocks | None = None
-        self._flat_rows: _FlatRows | None = None
+        self._flat_rows: _FlatBlocks | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -318,10 +270,10 @@ class DistSparseMatrix:
         matrix.
         """
         if self._flat is None:
-            self._flat = _FlatBlocks(self)
+            self._flat = _FlatBlocks(self, by_rows=False)
         return self._flat
 
-    def flat_rows(self) -> _FlatRows:
+    def flat_rows(self) -> _FlatBlocks:
         """The row-major rank-fused structure (built lazily, cached).
 
         Backs the rank-vectorized *pull* SpMSpV: one gather over
@@ -330,7 +282,7 @@ class DistSparseMatrix:
         per matrix, and only when a pull superstep actually runs.
         """
         if self._flat_rows is None:
-            self._flat_rows = _FlatRows(self)
+            self._flat_rows = _FlatBlocks(self, by_rows=True)
         return self._flat_rows
 
     @property
@@ -360,7 +312,8 @@ class DistSparseMatrix:
         structure (one reshape-sum, no per-block loop); the communication
         this step models is charged by the caller once at load time.
         """
-        full = self.flat_blocks().col_degrees(self.n).astype(np.float64)
+        cell_nnz = np.diff(self.flat_blocks().cell_ptr)
+        full = cell_nnz.reshape(self.n, self.ctx.grid.pr).sum(axis=1)
         return DistDenseVector.from_global(self.ctx, full)
 
     def to_csr(self) -> CSRMatrix:

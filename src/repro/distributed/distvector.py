@@ -219,6 +219,21 @@ class DistSparseVector:
         """Assemble the global sparse vector (test/inspection helper)."""
         return SparseVector(self.n, self.idx.copy(), self.vals.copy())
 
+    def with_values(self, vals: np.ndarray) -> "DistSparseVector":
+        """Same structure, new payloads.
+
+        Shares the ``idx``/``starts``/``offs`` arrays, which were
+        validated when this vector was built (no caller mutates them), so
+        only the payload's shape is checked.
+        """
+        vals = np.ascontiguousarray(vals, dtype=np.float64)
+        if vals.shape != self.idx.shape:
+            raise ValueError("payload array must match nnz")
+        out = DistSparseVector.__new__(DistSparseVector)
+        out.ctx, out.n, out.offs = self.ctx, self.n, self.offs
+        out.idx, out.starts, out.vals = self.idx, self.starts, vals
+        return out
+
     def copy(self) -> "DistSparseVector":
         return DistSparseVector(
             self.ctx, self.n, self.idx.copy(), self.vals.copy(), self.starts.copy()

@@ -1,9 +1,11 @@
 """Gather-to-root of a distributed matrix (the baseline the paper beats).
 
-Engines: simulated + processes — built on the engine's
-``gather_to_root`` collective (worker-copied shared memory under the
-processes engine).  Charges modeled communication cost, root-injection
-bounded.
+Engines: simulated + processes — both engines charge the same
+``gather_to_root_cost`` / ``bcast_cost`` formulas of the collective
+engine and reassemble the matrix in the driver with
+:meth:`~repro.distributed.distmatrix.DistSparseMatrix.to_csr`; no bytes
+move through workers.  Charges modeled communication cost,
+root-injection bounded.
 
 Section V.C: computing RCM with a shared-memory code (SpMP) on an
 already-distributed matrix first requires gathering the structure onto a

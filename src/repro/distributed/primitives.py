@@ -15,11 +15,10 @@ Because the distributed vectors are flat structure-of-arrays
 (:mod:`repro.distributed.distvector`), every primitive runs as one fused
 numpy expression across all ranks: sparse indices are global, so dense
 payload lookups are direct ``data[idx]`` gathers, and per-rank cost
-arrays come from ``diff`` of the rank-offset array.  Charges are charged
-through the batched paths (one call per superstep with a per-rank
-array) and are bit-identical to the per-rank reference loops, which
-remain available under ``DistContext(rank_vectorized=False)`` as the
-equivalence-suite oracle.
+arrays come from ``diff`` of the rank-offset array.  Charges take one
+call per superstep with a per-rank array and are bit-identical to the
+per-rank reference loops, which remain available under
+``DistContext(rank_vectorized=False)`` as the equivalence-suite oracle.
 
 Communication-free primitives (IND, SELECT, SET) run on each rank's local
 piece and only charge compute time.  REDUCE charges an Allreduce;
@@ -33,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 
-from .context import DistContext
 from .distvector import DistDenseVector, DistSparseVector
 
 __all__ = [
@@ -65,7 +63,7 @@ def d_select(
         return _d_select_perrank(x, y, expr, region)
     ctx.charge_compute(region, x.rank_counts())
     if x.idx.size == 0:
-        return x.copy()
+        return x
     mask = np.asarray(expr(y.data[x.idx]), dtype=bool)
     keep = np.zeros(x.idx.size + 1, dtype=np.int64)
     np.cumsum(mask, out=keep[1:])
@@ -102,13 +100,7 @@ def d_read_dense(
     if not ctx.rank_vectorized:
         return _d_read_dense_perrank(x, y, region)
     ctx.charge_compute(region, x.rank_counts())
-    return DistSparseVector(
-        ctx,
-        x.n,
-        x.idx.copy(),
-        y.data[x.idx].astype(np.float64),
-        x.starts.copy(),
-    )
+    return x.with_values(y.data[x.idx])
 
 
 def _d_read_dense_perrank(x, y, region):
@@ -152,14 +144,8 @@ def _d_set_dense_perrank(y, x, region):
 
 
 def d_fill_values(x: DistSparseVector, value: float) -> DistSparseVector:
-    """A copy of ``x`` with every payload set to ``value`` (no charge)."""
-    return DistSparseVector(
-        x.ctx,
-        x.n,
-        x.idx.copy(),
-        np.full(x.idx.size, value, dtype=np.float64),
-        x.starts.copy(),
-    )
+    """``x`` with every payload set to ``value`` (no charge)."""
+    return x.with_values(np.full(x.idx.size, value, dtype=np.float64))
 
 
 def d_reduce_argmin(

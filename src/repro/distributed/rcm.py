@@ -180,23 +180,10 @@ def _order_component(
             # the concatenation of ``scan[k] + arange(count_k)`` in rank
             # order is simply ``arange(total)``
             ctx.engine.exscan_counts(Lnext.rank_counts(), "ordering:sort")
-            Rnext = DistSparseVector(
-                ctx,
-                n,
-                Lnext.idx.copy(),
-                np.arange(Lnext.idx.size, dtype=np.float64),
-                Lnext.starts.copy(),
-            )
+            Rnext = Lnext.with_values(np.arange(Lnext.idx.size, dtype=np.float64))
         else:
             raise ValueError(f"unknown sort_impl {sort_impl!r}")
-        # line 10: shift to global labels
-        Rnext = DistSparseVector(
-            ctx,
-            n,
-            Rnext.idx.copy(),
-            Rnext.vals + nv,
-            Rnext.starts.copy(),
-        )
+        Rnext = Rnext.with_values(Rnext.vals + nv)  # line 10: shift to global labels
         nv += nnz_next  # line 11
         d_set_dense(R, Rnext, "ordering:other")  # line 12
         state.advance(Lnext, "ordering:other")

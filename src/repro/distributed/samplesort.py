@@ -17,12 +17,10 @@ This module implements exactly that on the simulated machine so the
 identical to :func:`repro.distributed.sortperm.d_sortperm`; only cost
 differs.
 
-Tuple formation and rank placement run as fused passes over the flat
-SoA vector by default; ``DistContext(rank_vectorized=False)`` selects
-the per-rank reference loops (the pre-vectorization oracle), with
-identical results and modeled ledgers.  The splitter routing and both
-Alltoalls stay per-rank on every path — they are the costs the ablation
-exists to model.
+Tuple formation and rank placement slice the flat SoA vector per rank,
+so one code path serves both drivers.  The splitter routing and both
+Alltoalls stay per-rank — they are the costs the ablation exists to
+model.
 """
 
 from __future__ import annotations
@@ -47,34 +45,13 @@ def d_sortperm_samplesort(
     p = ctx.nprocs
     offs = x.offs
 
-    # ---- form local tuples ---------------------------------------------
-    if ctx.rank_vectorized:
-        # one fused pass over the flat SoA vector; per-rank tuples are
-        # slices of it
-        tuples_flat = np.empty((x.idx.size, 3), dtype=np.float64)
-        if x.idx.size:
-            tuples_flat[:, 0] = x.vals
-            tuples_flat[:, 1] = degrees.data[x.idx]
-            tuples_flat[:, 2] = x.idx
-        locals_ = [
-            tuples_flat[x.starts[k] : x.starts[k + 1]] for k in range(p)
-        ]
-        ctx.charge_compute(region, x.rank_counts())
-    else:
-        # per-rank reference path (the pre-vectorization oracle)
-        x_indices, x_values, deg_segments = x.indices, x.values, degrees.segments
-        locals_ = []
-        form_ops = []
-        for k in range(p):
-            idx = x_indices[k]
-            form_ops.append(idx.size)
-            t = np.empty((idx.size, 3), dtype=np.float64)
-            if idx.size:
-                t[:, 0] = x_values[k]
-                t[:, 1] = deg_segments[k][idx - offs[k]]
-                t[:, 2] = idx
-            locals_.append(t)
-        ctx.charge_compute(region, form_ops)
+    # ---- form local tuples: one pass over the flat vector, sliced ------
+    tuples_flat = np.empty((x.idx.size, 3), dtype=np.float64)
+    tuples_flat[:, 0] = x.vals
+    tuples_flat[:, 1] = degrees.data[x.idx]
+    tuples_flat[:, 2] = x.idx
+    locals_ = [tuples_flat[x.starts[k] : x.starts[k + 1]] for k in range(p)]
+    ctx.charge_compute(region, x.rank_counts())
 
     # ---- sample + splitter selection (the extra round) ------------------
     samples = []
@@ -152,36 +129,17 @@ def d_sortperm_samplesort(
     back = ctx.engine.alltoall(send_back, region)
 
     # ---- place returning ranks into the output ----------------------------
-    if ctx.rank_vectorized:
-        out_vals = np.empty(x.idx.size, dtype=np.float64)
-        place_ops = np.zeros(p, dtype=np.int64)
-        for k in range(p):
-            chunks = [c for c in back[k] if c.size]
-            pairs = np.concatenate(chunks) if chunks else np.empty((0, 2))
-            lo, hi = x.starts[k], x.starts[k + 1]
-            place_ops[k] = pairs.shape[0]
-            if pairs.shape[0] != hi - lo:
-                raise AssertionError("samplesort lost or duplicated entries")
-            if pairs.shape[0]:
-                pos = np.searchsorted(x.idx[lo:hi], pairs[:, 0].astype(np.int64))
-                out_vals[lo + pos] = pairs[:, 1]
-        ctx.charge_compute(region, place_ops)
-        return DistSparseVector(ctx, x.n, x.idx.copy(), out_vals, x.starts.copy())
-
-    x_indices = x.indices
-    out_list: list[np.ndarray] = []
-    place_ops = []
+    out_vals = np.empty(x.idx.size, dtype=np.float64)
+    place_ops = np.zeros(p, dtype=np.int64)
     for k in range(p):
         chunks = [c for c in back[k] if c.size]
         pairs = np.concatenate(chunks) if chunks else np.empty((0, 2))
-        idx = x_indices[k]
-        place_ops.append(pairs.shape[0])
-        if pairs.shape[0] != idx.size:
+        lo, hi = x.starts[k], x.starts[k + 1]
+        place_ops[k] = pairs.shape[0]
+        if pairs.shape[0] != hi - lo:
             raise AssertionError("samplesort lost or duplicated entries")
-        vals = np.empty(idx.size, dtype=np.float64)
-        if idx.size:
-            pos = np.searchsorted(idx, pairs[:, 0].astype(np.int64))
-            vals[pos] = pairs[:, 1]
-        out_list.append(vals)
+        if pairs.shape[0]:
+            pos = np.searchsorted(x.idx[lo:hi], pairs[:, 0].astype(np.int64))
+            out_vals[lo + pos] = pairs[:, 1]
     ctx.charge_compute(region, place_ops)
-    return DistSparseVector(ctx, x.n, [i.copy() for i in x_indices], out_list)
+    return x.with_values(out_vals)

@@ -29,7 +29,7 @@ engine, default) performs the whole pipeline as fused operations on the
 flat SoA vector — tuple formation and bucketing are single expressions,
 the per-bucket sorts collapse into one bucket-major ``lexsort``, the
 global ranks of the concatenated sorted buckets are ``arange``, and both
-Alltoalls reduce to batched charges from per-rank count arrays — while
+Alltoalls reduce to charges from per-rank count arrays — while
 the per-rank driver (processes engine; ``rank_vectorized=False``)
 materializes per-rank buffers and engine supersteps.  Results and
 modeled ledgers are bit-identical.
@@ -116,7 +116,7 @@ def _d_sortperm_flat(
     # feed the charge — sent is each source rank's frontier, received is
     # each bucket's population
     bucket_counts = np.bincount(buckets, minlength=p)
-    ctx.engine.charge_alltoall_flat(
+    ctx.engine.charge_alltoall(
         (_TUPLE_WORDS * rank_counts)[None, :],
         (_TUPLE_WORDS * bucket_counts)[None, :],
         region,
@@ -136,7 +136,7 @@ def _d_sortperm_flat(
     granks = np.arange(nnz, dtype=np.float64)
 
     # ---- Step 4: return (id, global rank) pairs to the piece owners -----
-    ctx.engine.charge_alltoall_flat(
+    ctx.engine.charge_alltoall(
         (_PAIR_WORDS * bucket_counts)[None, :],
         (_PAIR_WORDS * rank_counts)[None, :],
         region,
@@ -148,7 +148,7 @@ def _d_sortperm_flat(
     out_vals[pos] = granks
     ctx.charge_compute(region, rank_counts)
 
-    return DistSparseVector(ctx, x.n, x.idx.copy(), out_vals, x.starts.copy())
+    return x.with_values(out_vals)
 
 
 # ----------------------------------------------------------------------

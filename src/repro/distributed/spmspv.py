@@ -56,10 +56,11 @@ Aggregate cost matches the paper's Section IV.B:
 push, a second alignment step replicates each row block's unvisited mask
 within its processor row (an Allgather on the ``pc``-way row
 subcommunicator, charged through
-:meth:`~repro.machine.comm.CollectiveEngine.charge_mask_allgather`),
-Phase B scans each rank's *unvisited rows* instead of the frontier's
-columns (work ``sum_{r unvisited} nnz(A_ij(r, :))``), and Phase C is the
-identical row-wise merge — both directions share the Phase C helpers
+:meth:`~repro.machine.comm.CollectiveEngine.charge_allgather` over
+:func:`~repro.machine.cost.mask_words` volumes), Phase B scans each
+rank's *unvisited rows* instead of the frontier's columns (work
+``sum_{r unvisited} nnz(A_ij(r, :))``), and Phase C is the identical
+row-wise merge — both directions share the Phase C helpers
 below, so their outputs and ledgers stay aligned by construction.  Pull
 results are bit-identical to masked push results, on both engines and
 both drivers.
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..machine.cost import mask_words
 from ..semiring.semiring import Semiring
 from ..semiring.spmspv import _group_reduce, spmspv_work
 from ..sparse.ragged import ragged_positions
@@ -134,25 +136,26 @@ def _dist_spmspv_flat(
     # cells are adjacent, so one range per frontier entry gathers every
     # rank's CSC column slice in kernel order (frontier-major, block
     # rows ascending, rows in CSC order within a block).
-    cstart = flat.cell_ptr[x.idx * pr]
-    lens = flat.cell_ptr[(x.idx + 1) * pr] - cstart
+    bounds = flat.cell_ptr[x.idx[:, None] * pr + np.arange(pr + 1, dtype=np.int64)]
+    cstart = bounds[:, 0]
+    lens = bounds[:, pr] - cstart
     pos = ragged_positions(cstart, lens)
-    cand_grow = flat.grow[pos]
+    cand_grow = flat.minor[pos]
     products = np.asarray(sr.multiply(flat.vals[pos], np.repeat(x.vals, lens)), dtype=np.float64)
 
-    # per-rank op counts: candidates per (block row, grid column), which
-    # is rank i * pc + j of the row-major grid
-    j_of_cand = np.repeat(
-        np.repeat(np.arange(pc, dtype=np.int64), np.diff(group_entry_bounds)), lens
-    )
-    ctx.charge_compute(
-        region,
-        np.bincount(flat.row_block[cand_grow] * pc + j_of_cand, minlength=g.size),
-    )
+    # per-rank op counts: grid-column segment sums of the frontier's cell
+    # lengths per block row (rank i * pc + j of the row-major grid)
+    cum = np.zeros((x.idx.size + 1, pr), dtype=np.int64)
+    np.cumsum(np.diff(bounds, axis=1), axis=0, out=cum[1:])
+    ops_ji = cum[group_entry_bounds[1:]] - cum[group_entry_bounds[:-1]]  # (pc, pr)
+    ctx.charge_compute(region, ops_ji.T.ravel())
 
     # per-rank partial outputs: group-reduce by (grid column, global row)
     # — stable sort keeps each rank's candidates in kernel order, so the
     # reduceat sequences match the per-block kernel bit-for-bit
+    j_of_cand = np.repeat(
+        np.repeat(np.arange(pc, dtype=np.int64), np.diff(group_entry_bounds)), lens
+    )
     cand_key = j_of_cand * n + cand_grow
     if pos.size:
         pkey, pvals = _group_reduce(cand_key, products, sr)
@@ -176,7 +179,7 @@ def _phase_a_flat(
     g = A.ctx.grid
     group_entry_bounds = x.starts[np.arange(g.pc + 1, dtype=np.int64) * g.pr]
     pair_words = PAIR_DTYPE.itemsize // 8  # 2 words per wire entry
-    A.ctx.engine.charge_allgather_flat(
+    A.ctx.engine.charge_allgather(
         [g.pr] * g.pc, (pair_words * np.diff(group_entry_bounds)).tolist(), region
     )
     return group_entry_bounds
@@ -212,7 +215,7 @@ def _phase_c_flat(
     partial_sizes = np.diff(partial_bounds).reshape(pc, pr)
     dest = np.searchsorted(offs, pgrow, side="right") - 1
     recv_counts = np.bincount(dest, minlength=p)
-    ctx.engine.charge_alltoall_flat(
+    ctx.engine.charge_alltoall(
         pair_words * partial_sizes.T,  # (pr, pc): row group i, member j
         pair_words * recv_counts.reshape(pr, pc),
         region,
@@ -400,8 +403,8 @@ def _dist_spmspv_pull_flat(
     # each rank scans its own piece to produce its mask slice, then row
     # block i's mask is replicated within processor row i (pc members)
     ctx.charge_compute(region, np.diff(offs))
-    ctx.engine.charge_mask_allgather(
-        [pc] * pr, np.diff(A.row_offsets).tolist(), region
+    ctx.engine.charge_allgather(
+        [pc] * pr, [mask_words(ln) for ln in np.diff(A.row_offsets)], region
     )
 
     # ---------------- Phase B: masked bottom-up scans, fused -----------
@@ -424,7 +427,7 @@ def _dist_spmspv_pull_flat(
     # multi-range gather of every (unvisited row, block column) cell
     lens = clens.ravel()  # row-major, block column inner
     pos = ragged_positions(cstart.ravel(), lens)
-    ecol = rows_flat.gcol[pos]
+    ecol = rows_flat.minor[pos]
     evals = rows_flat.vals[pos]
     erow = np.repeat(np.broadcast_to(cand[:, None], clens.shape).ravel(), lens)
     ej = np.repeat(
@@ -472,8 +475,8 @@ def _dist_spmspv_pull_perrank(
     # ---------------- Phase A2: unvisited masks per processor row ------
     # mask wire format: one np.bool_ byte per vertex (see
     # repro.machine.cost.mask_words) — the per-rank Allgather of raw
-    # bool slices charges exactly what the flat driver's
-    # charge_mask_allgather computes arithmetically
+    # bool slices charges exactly what the flat driver computes from
+    # mask_words
     ctx.charge_compute(region, np.diff(offs))
     mask_groups = []
     for i in range(g.pr):

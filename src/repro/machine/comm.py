@@ -2,8 +2,9 @@
 
 Engines: this module *is* the simulated engine; the processes engine
 (:class:`repro.runtime.engine.ProcessCollectiveEngine`) subclasses
-:class:`CollectiveEngine` and reuses the ``_charge_*`` helpers below, so
-the modeled ledger is bit-identical under both engines.  Charges modeled
+:class:`CollectiveEngine` and charges through the same
+``charge_allgather`` / ``charge_alltoall`` methods below, so the modeled
+ledger is bit-identical under both engines.  Charges modeled
 communication time for every collective.
 
 Each collective here does two things at once:
@@ -26,15 +27,14 @@ The **collectives contract** both engines satisfy (see DESIGN.md,
 "Execution engines"): identical results to this module's reference
 implementation, identical modeled charges, for ``allgather_groups``,
 ``alltoall`` / ``alltoall_groups``, ``allreduce_scalar`` /
-``allreduce_array`` / ``allreduce_lexmin``, ``exscan_counts``, ``bcast``
-and ``gather_to_root``.
+``allreduce_lexmin`` and ``exscan_counts``.
 
-The **batched charging paths** (``charge_allgather_flat``,
-``charge_alltoall_flat``, plus array-accepting reductions) serve the
-rank-vectorized driver (DESIGN.md §7): they charge concurrent-collective
-cost from per-rank/per-group word-count *arrays* in one call — same
-formulas, same accumulation order, bit-identical ledgers — without
-materializing per-rank buffer lists.
+**One charge per collective kind.**  ``charge_allgather`` and
+``charge_alltoall`` charge concurrent collectives from per-group /
+per-rank word counts.  The buffer collectives count their buffers'
+words and call them; the rank-vectorized kernels (DESIGN.md §7), which
+never materialize per-rank buffers, call them directly with counts
+computed as arrays.  Either way one formula produces the ledger.
 """
 
 from __future__ import annotations
@@ -118,131 +118,53 @@ class CollectiveEngine:
         return seconds, q - 1, total_words
 
     # ------------------------------------------------------------------
-    # Charging helpers (shared verbatim by the processes engine so the
-    # modeled ledger cannot drift between engines)
+    # Charges (the one formula per collective kind, shared by the buffer
+    # collectives of both engines and the rank-vectorized kernels)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _concat_group(parts: list[np.ndarray]) -> np.ndarray:
-        """Reference result of one Allgather group (concatenation)."""
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
-
-    def _charge_allgather_groups(
+    def charge_allgather(
         self,
         group_sizes: Sequence[int],
-        out_words: Sequence[int],
+        words: Sequence[int],
         region: str,
     ) -> None:
+        """Charge concurrent Allgathers from per-group result word counts.
+
+        Group ``g`` has ``group_sizes[g]`` contributors and its
+        concatenated result occupies ``words[g]`` words.  Groups overlap
+        in time (max); message and word counters accumulate across them.
+        """
         worst = 0.0
         tot_msgs = 0
         tot_words = 0
-        for q, words in zip(group_sizes, out_words):
-            sec, msgs, wrds = self.allgather_cost(q, words)
+        for q, w in zip(group_sizes, words):
+            sec, msgs, wrds = self.allgather_cost(q, w)
             worst = max(worst, sec)
             tot_msgs += msgs * max(q, 1)
             tot_words += wrds * max(q, 1)
         self.ledger.charge_comm(region, worst, tot_msgs, tot_words)
 
-    def _charge_alltoall_groups(
+    def charge_alltoall(
         self,
-        groups: Sequence[Sequence[Sequence[np.ndarray]]],
-        region: str,
-    ) -> None:
-        worst = 0.0
-        tot_msgs = 0
-        tot_words = 0
-        for send in groups:
-            q = len(send)
-            sent_words = [sum(words_of(b) for b in send[i]) for i in range(q)]
-            recv_words = [
-                sum(words_of(send[i][j]) for i in range(q)) for j in range(q)
-            ]
-            busiest = max(max(sent_words, default=0), max(recv_words, default=0))
-            sec, msgs, _ = self.alltoall_cost(q, busiest)
-            worst = max(worst, sec)
-            tot_msgs += msgs * q
-            tot_words += sum(sent_words)
-        self.ledger.charge_comm(region, worst, tot_msgs, tot_words)
-
-    def _charge_gather_to_root(
-        self, parts: Sequence[np.ndarray], region: str
-    ) -> None:
-        total_words = sum(words_of(p) for p in parts[1:])  # root's part is free
-        sec, msgs, wrds = self.gather_to_root_cost(len(parts), total_words)
-        self.ledger.charge_comm(region, sec, msgs, wrds)
-
-    # ------------------------------------------------------------------
-    # Batched charging paths (the rank-vectorized driver's interface)
-    #
-    # The flat SoA kernels never materialize per-rank buffer lists; they
-    # compute per-rank/per-group word counts as arrays and charge through
-    # these methods, which reproduce the buffer-list helpers above
-    # bit-for-bit (same formulas, same accumulation order).
-    # ------------------------------------------------------------------
-    def charge_allgather_flat(
-        self,
-        group_sizes: Sequence[int],
-        out_words: Sequence[int],
-        region: str,
-    ) -> None:
-        """Charge concurrent Allgathers from per-group result word counts.
-
-        Identical to what :meth:`allgather_groups` charges when group
-        ``g`` has ``group_sizes[g]`` contributors and its concatenated
-        result occupies ``out_words[g]`` words.
-        """
-        self._charge_allgather_groups(group_sizes, out_words, region)
-
-    def charge_mask_allgather(
-        self,
-        group_sizes: Sequence[int],
-        mask_lengths: Sequence[int],
-        region: str,
-    ) -> None:
-        """Charge concurrent Allgathers of dense boolean masks.
-
-        The pull phase of direction-optimized SpMSpV replicates each row
-        block's unvisited mask within its processor row; this converts
-        the mask *lengths* to wire words through
-        :func:`repro.machine.cost.mask_words` (one byte per vertex) and
-        charges exactly what :meth:`allgather_groups` charges when
-        handed the equivalent ``np.bool_`` buffers.
-        """
-        from .cost import mask_words
-
-        self._charge_allgather_groups(
-            group_sizes, [mask_words(ln) for ln in mask_lengths], region
-        )
-
-    def charge_alltoall_flat(
-        self,
-        sent_words: np.ndarray,
-        recv_words: np.ndarray,
+        sent: np.ndarray,
+        recv: np.ndarray,
         region: str,
     ) -> None:
         """Charge concurrent personalized All-to-alls from word counts.
 
-        ``sent_words[g, i]`` / ``recv_words[g, j]`` are the words rank
-        ``i``/``j`` of group ``g`` sends/receives in total; every group
-        has the same size ``q = sent_words.shape[1]``.  Matches
-        :meth:`alltoall_groups`'s charge exactly: latency per group is
-        ``alpha * (q - 1)``, bandwidth is charged at the busiest rank of
-        each group, groups overlap in time (max), and message/word
-        counters accumulate across groups.
+        ``sent[g, i]`` / ``recv[g, j]`` are the words rank ``i``/``j`` of
+        group ``g`` sends/receives in total; every group has the same
+        size ``q = sent.shape[1]``.  Each group costs
+        :meth:`alltoall_cost` at its busiest rank; groups overlap in time,
+        so the slowest group's cost (the one with the busiest rank
+        overall) is charged, and message/word counters accumulate across
+        groups.
         """
-        sent_words = np.asarray(sent_words, dtype=np.int64)
-        recv_words = np.asarray(recv_words, dtype=np.int64)
-        ngroups, q = sent_words.shape
-        if q <= 1 or ngroups == 0:
-            self.ledger.charge_comm(region, 0.0, 0, int(sent_words.sum()))
-            return
-        busiest = np.maximum(sent_words.max(axis=1), recv_words.max(axis=1))
-        rounds = q - 1
-        worst = float(self.machine.alpha * rounds + self.machine.beta * busiest.max())
-        tot_msgs = ngroups * rounds * q
-        tot_words = int(sent_words.sum())
-        self.ledger.charge_comm(region, worst, tot_msgs, tot_words)
+        sent = np.asarray(sent, dtype=np.int64)
+        recv = np.asarray(recv, dtype=np.int64)
+        ngroups, q = sent.shape
+        busiest = int(max(sent.max(initial=0), recv.max(initial=0)))
+        sec, rounds, _ = self.alltoall_cost(q, busiest)
+        self.ledger.charge_comm(region, sec, ngroups * rounds * q, int(sent.sum()))
 
     # ------------------------------------------------------------------
     # Data-moving collectives
@@ -260,7 +182,7 @@ class CollectiveEngine:
         time) and counts messages/words across all groups.
         """
         results = [self._concat_group(list(group)) for group in groups]
-        self._charge_allgather_groups(
+        self.charge_allgather(
             [len(group) for group in groups],
             [words_of(out) for out in results],
             region,
@@ -268,11 +190,29 @@ class CollectiveEngine:
         return results
 
     @staticmethod
-    def _validate_alltoall(send: Sequence[Sequence[np.ndarray]]) -> None:
-        q = len(send)
-        for i, row in enumerate(send):
-            if len(row) != q:
-                raise ValueError(f"send[{i}] must list one buffer per rank")
+    def _concat_group(parts: list[np.ndarray]) -> np.ndarray:
+        """Reference result of one Allgather group (concatenation)."""
+        if not parts:
+            return np.empty(0)
+        return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
+
+    @staticmethod
+    def _alltoall_words(
+        groups: Sequence[Sequence[Sequence[np.ndarray]]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate equal-size square groups; return per-rank sent/received words."""
+        q = len(groups[0]) if groups else 0
+        for send in groups:
+            if len(send) != q:
+                raise ValueError("every group must have the same number of ranks")
+            for i, row in enumerate(send):
+                if len(row) != q:
+                    raise ValueError(f"send[{i}] must list one buffer per rank")
+        words = np.array(
+            [[[words_of(b) for b in row] for row in send] for send in groups],
+            dtype=np.int64,
+        ).reshape(len(groups), q, q)
+        return words.sum(axis=2), words.sum(axis=1)
 
     def alltoall(
         self,
@@ -298,16 +238,12 @@ class CollectiveEngine:
         rank ``j`` of the same group (e.g. one exchange per processor
         row).  Charges the maximum group cost once, like
         :meth:`allgather_groups`; messages and words accumulate across
-        groups.  Returns ``recv`` with ``recv[g][j][i] = groups[g][i][j]``.
+        groups; every group must have the same size.  Returns ``recv``
+        with ``recv[g][j][i] = groups[g][i][j]``.
         """
-        recv_groups: list[list[list[np.ndarray]]] = []
-        for send in groups:
-            self._validate_alltoall(send)
-            q = len(send)
-            recv_groups.append(
-                [[send[i][j] for i in range(q)] for j in range(q)]
-            )
-        self._charge_alltoall_groups(groups, region)
+        sent, recv = self._alltoall_words(groups)
+        recv_groups = [[list(col) for col in zip(*send)] for send in groups]
+        self.charge_alltoall(sent, recv, region)
         return recv_groups
 
     def allreduce_scalar(
@@ -323,20 +259,6 @@ class CollectiveEngine:
         self.ledger.charge_comm(region, sec, msgs * q, wrds * q)
         return float(result)
 
-    def allreduce_array(
-        self,
-        per_rank_arrays: Sequence[np.ndarray],
-        ufunc: np.ufunc,
-        region: str,
-    ) -> np.ndarray:
-        """Elementwise reduction of equal-shaped per-rank arrays."""
-        q = len(per_rank_arrays)
-        stacked = np.stack([np.asarray(a) for a in per_rank_arrays])
-        result = ufunc.reduce(stacked, axis=0)
-        sec, msgs, wrds = self.allreduce_cost(q, words_of(result))
-        self.ledger.charge_comm(region, sec, msgs * q, wrds * q)
-        return result
-
     def allreduce_lexmin(
         self,
         per_rank_pairs: Sequence[tuple[float, float]],
@@ -346,18 +268,13 @@ class CollectiveEngine:
 
         This is the paper's REDUCE with deterministic tie-breaking: the
         minimum value wins, ties resolve to the smallest index.  MPI would
-        implement it as an Allreduce with MINLOC.
-
-        Accepts a list of ``(value, index)`` tuples or a ``(q, 2)`` float
-        array (the batched path: the winner is found with one ``lexsort``
-        instead of a Python ``min`` over per-rank tuples).
+        implement it as an Allreduce with MINLOC.  ``per_rank_pairs`` is a
+        ``(q, 2)`` float array or anything ``np.asarray`` makes one of.
         """
-        q = len(per_rank_pairs)
-        if isinstance(per_rank_pairs, np.ndarray):
-            j = np.lexsort((per_rank_pairs[:, 1], per_rank_pairs[:, 0]))[0]
-            best = (float(per_rank_pairs[j, 0]), float(per_rank_pairs[j, 1]))
-        else:
-            best = min(per_rank_pairs)
+        pairs = np.asarray(per_rank_pairs, dtype=np.float64)
+        q = pairs.shape[0]
+        j = np.lexsort((pairs[:, 1], pairs[:, 0]))[0]
+        best = (float(pairs[j, 0]), float(pairs[j, 1]))
         sec, msgs, wrds = self.allreduce_cost(q, 2)
         self.ledger.charge_comm(region, sec, msgs * q, wrds * q)
         return best
@@ -370,18 +287,4 @@ class CollectiveEngine:
         self.ledger.charge_comm(region, sec, msgs * q, wrds * q)
         out = np.zeros(q, dtype=np.int64)
         np.cumsum(counts[:-1], out=out[1:])
-        return out
-
-    def bcast(self, value: np.ndarray, q: int, region: str) -> np.ndarray:
-        sec, msgs, wrds = self.bcast_cost(q, words_of(np.asarray(value)))
-        self.ledger.charge_comm(region, sec, msgs, wrds * max(q - 1, 0))
-        return value
-
-    def gather_to_root(
-        self, per_rank_arrays: Sequence[np.ndarray], region: str
-    ) -> np.ndarray:
-        """Concatenate all per-rank buffers at a root rank."""
-        parts = [np.asarray(a) for a in per_rank_arrays]
-        out = np.concatenate(parts) if parts else np.empty(0)
-        self._charge_gather_to_root(parts, region)
         return out

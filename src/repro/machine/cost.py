@@ -42,9 +42,9 @@ def mask_words(length: int) -> int:
     The pull (bottom-up) SpMSpV replicates the unvisited mask of each
     row block along its processor row; masks travel as one byte per
     vertex (``np.bool_``), so a length-``L`` mask occupies
-    ``ceil(L / 8)`` 8-byte words.  Both distributed drivers and the
-    collective engine charge mask traffic through this one formula so
-    the ledgers cannot drift.
+    ``ceil(L / 8)`` 8-byte words.  The flat driver charges mask traffic
+    with this formula; the per-rank driver ships ``np.bool_`` buffers,
+    whose :func:`~repro.machine.comm.words_of` is the same value.
     """
     return (int(length) + 7) // 8
 

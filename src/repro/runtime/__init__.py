@@ -10,7 +10,7 @@ The distributed algorithms in :mod:`repro.distributed` are written
 SPMD-style against two context services:
 
 * the **collectives contract** (``allgather_groups``, ``alltoall_groups``,
-  ``allreduce_*``, ``exscan_counts``, ``bcast``, ``gather_to_root``) —
+  ``allreduce_scalar``, ``allreduce_lexmin``, ``exscan_counts``) —
   implemented here by :class:`ProcessCollectiveEngine`, which moves the
   bytes through POSIX shared-memory arenas copied by worker processes;
 * the **superstep contract** (``DistContext.run_superstep``) — per-rank

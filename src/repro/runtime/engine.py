@@ -1,24 +1,25 @@
 """The processes engine's collectives: worker-copied shared memory.
 
 Engines: processes-only (this class *is* the processes engine's
-communicator).  Charges modeled communication cost through the exact
-``_charge_*`` helpers of the simulated :class:`CollectiveEngine` — the
-modeled ledger is therefore bit-identical under both engines — and
-additionally records **measured** wall-clock into a second ledger.
+communicator).  Charges modeled communication cost through the
+``charge_allgather`` / ``charge_alltoall`` methods of the simulated
+:class:`CollectiveEngine`, after counting its buffers' words the same
+way — the modeled ledger is therefore bit-identical under both engines
+— and additionally records **measured** wall-clock into a second ledger.
 
 Data-moving collectives (``allgather_groups``, ``alltoall`` /
-``alltoall_groups``, ``gather_to_root``) stage the per-rank buffers into
-a shared-memory input arena, have the worker processes copy every
-buffer to its destination offset in the output arena (disjoint spans,
-no locking), and rebuild the result arrays from the output arena.  The
-copies are pure byte movement — no floating-point reassociation — so
-results match the simulated reference bit-for-bit.
+``alltoall_groups``) stage the per-rank buffers into a shared-memory
+input arena, have the worker processes copy every buffer to its
+destination offset in the output arena (disjoint spans, no locking),
+and rebuild the result arrays from the output arena.  The copies are
+pure byte movement — no floating-point reassociation — so results match
+the simulated reference bit-for-bit.
 
-Latency-bound collectives (``allreduce_*``, ``exscan_counts``,
-``bcast``) compute their few words in the driver exactly like the base
-class (guaranteeing the deterministic reduction order the paper's
-MINLOC tie-breaking needs) and measure a full worker round trip as
-their synchronization cost.
+Latency-bound collectives (``allreduce_scalar``, ``allreduce_lexmin``,
+``exscan_counts``) compute their few words in the driver exactly like
+the base class (guaranteeing the deterministic reduction order the
+paper's MINLOC tie-breaking needs) and measure a full worker round trip
+as their synchronization cost.
 
 Measured accounting convention: the worker-side seconds of a collective
 land in its ``region``; driver-side staging/unpacking overhead lands in
@@ -153,7 +154,7 @@ class ProcessCollectiveEngine(CollectiveEngine):
             else self._read(outbuf, spec[3], spec[1], spec[2])
             for spec in specs
         ]
-        self._charge_allgather_groups(
+        self.charge_allgather(
             [len(parts) for parts in prepared],
             [words_of(out) for out in results],
             region,
@@ -166,12 +167,10 @@ class ProcessCollectiveEngine(CollectiveEngine):
         region: str,
     ) -> list[list[list[np.ndarray]]]:
         t0 = time.perf_counter()
-        prepared = []
-        for send in groups:
-            self._validate_alltoall(send)
-            prepared.append(
-                [[np.ascontiguousarray(b) for b in row] for row in send]
-            )
+        prepared = [
+            [[np.ascontiguousarray(b) for b in row] for row in send] for send in groups
+        ]
+        sent, recv = self._alltoall_words(prepared)
         flat_parts: list[np.ndarray] = []
         flat_dsts: list[int] = []
         slots: list[list[list[tuple]]] = []  # [g][j][i] -> (off, dtype, shape)
@@ -195,34 +194,8 @@ class ProcessCollectiveEngine(CollectiveEngine):
             ]
             for recv_specs in slots
         ]
-        self._charge_alltoall_groups(prepared, region)
+        self.charge_alltoall(sent, recv, region)
         return recv_groups
-
-    def gather_to_root(
-        self, per_rank_arrays: Sequence[np.ndarray], region: str
-    ) -> np.ndarray:
-        t0 = time.perf_counter()
-        parts = [
-            np.ascontiguousarray(np.asarray(a)) for a in per_rank_arrays
-        ]
-        plan = self._concat_plan(parts) if parts else None
-        if plan is None:
-            out = np.concatenate(parts) if parts else np.empty(0)
-            self._charge_gather_to_root(parts, region)
-            self.measured.charge_comm(
-                region + ":host", time.perf_counter() - t0
-            )
-            return out
-        dtype, shape = plan
-        cursor = 0
-        dsts = []
-        for p in parts:
-            dsts.append(cursor)
-            cursor += p.nbytes
-        outbuf = self._move(parts, dsts, _align8(cursor), region, t0)
-        out = self._read(outbuf, 0, dtype, shape)
-        self._charge_gather_to_root(parts, region)
-        return out
 
     # ------------------------------------------------------------------
     # Latency-bound collectives: driver math + measured synchronization
@@ -236,11 +209,6 @@ class ProcessCollectiveEngine(CollectiveEngine):
         self._measure_sync(region)
         return out
 
-    def allreduce_array(self, per_rank_arrays, ufunc, region):
-        out = super().allreduce_array(per_rank_arrays, ufunc, region)
-        self._measure_sync(region)
-        return out
-
     def allreduce_lexmin(self, per_rank_pairs, region):
         out = super().allreduce_lexmin(per_rank_pairs, region)
         self._measure_sync(region)
@@ -248,10 +216,5 @@ class ProcessCollectiveEngine(CollectiveEngine):
 
     def exscan_counts(self, per_rank_counts, region):
         out = super().exscan_counts(per_rank_counts, region)
-        self._measure_sync(region)
-        return out
-
-    def bcast(self, value, q, region):
-        out = super().bcast(value, q, region)
         self._measure_sync(region)
         return out

@@ -135,22 +135,16 @@ def _merge_packed(state: RuntimeState, payload):
     records (:data:`repro.distributed.spmspv.PAIR_DTYPE`: an int64
     ``index`` lane plus a float64 ``value`` lane, so indices never round
     -trip through floats).  Sorts by index (stable) and reduces equal
-    indices with the semiring add — ``reduceat`` order is fixed, so the
-    result is identical on every engine.  Returns ``(indices, values)``.
+    indices with the semiring add through the serial kernels'
+    ``_group_reduce`` — ``reduceat`` order is fixed, so the result is
+    identical on every engine.  Returns ``(indices, values)``.
     """
+    from ..semiring.spmspv import _group_reduce
+
     packed, sr = payload
-    if packed.shape[0] == 0:
+    if packed.shape[0] == 0:  # _group_reduce needs at least one entry
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    idx = np.ascontiguousarray(packed["index"])
-    vals = packed["value"]
-    order = np.argsort(idx, kind="stable")
-    idx, vals = idx[order], vals[order]
-    boundary = np.empty(idx.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(idx[1:], idx[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    reduced = np.asarray(sr.add_ufunc.reduceat(vals, starts), dtype=np.float64)
-    return idx[starts], reduced
+    return _group_reduce(np.ascontiguousarray(packed["index"]), packed["value"], sr)
 
 
 @task("lexsort3")

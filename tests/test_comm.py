@@ -81,12 +81,6 @@ def test_allreduce_scalar(engine):
     assert engine.ledger.region("r").comm_seconds > 0
 
 
-def test_allreduce_array(engine):
-    arrays = [np.array([1.0, 5.0]), np.array([3.0, 2.0])]
-    out = engine.allreduce_array(arrays, np.minimum, "r")
-    assert np.array_equal(out, [1.0, 2.0])
-
-
 def test_allreduce_lexmin(engine):
     best = engine.allreduce_lexmin([(2.0, 7.0), (1.0, 9.0), (1.0, 3.0)], "r")
     assert best == (1.0, 3.0)
@@ -95,14 +89,6 @@ def test_allreduce_lexmin(engine):
 def test_exscan_counts(engine):
     scan = engine.exscan_counts([3, 1, 4], "r")
     assert np.array_equal(scan, [0, 3, 4])
-
-
-def test_gather_to_root(engine):
-    parts = [np.array([1.0]), np.array([2.0]), np.array([3.0])]
-    out = engine.gather_to_root(parts, "r")
-    assert np.array_equal(out, [1.0, 2.0, 3.0])
-    rc = engine.ledger.region("r")
-    assert rc.words == 2  # root's own part is free
 
 
 def test_gather_to_root_uses_node_bandwidth():

@@ -98,37 +98,16 @@ def test_collectives_bit_identical(pool):
         for i in range(3):
             assert np.array_equal(at_s[j][i], at_p[j][i])
 
-    parts = [rng.standard_normal(4) for _ in range(4)]
-    assert np.array_equal(
-        sim.engine.gather_to_root(parts, "r"),
-        proc.engine.gather_to_root(parts, "r"),
-    )
-
     vals = [3.0, 1.0, 2.0, 1.0]
     assert sim.engine.allreduce_scalar(vals, np.sum, "r") == proc.engine.allreduce_scalar(
         vals, np.sum, "r"
     )
     pairs = [(2.0, 9.0), (1.0, 5.0), (1.0, 3.0)]
     assert sim.engine.allreduce_lexmin(pairs, "r") == proc.engine.allreduce_lexmin(pairs, "r")
-    arrs = [np.arange(6, dtype=np.float64) * k for k in range(3)]
-    assert np.array_equal(
-        sim.engine.allreduce_array(arrs, np.minimum, "r"),
-        proc.engine.allreduce_array(arrs, np.minimum, "r"),
-    )
     assert np.array_equal(
         sim.engine.exscan_counts([3, 1, 4, 1], "r"),
         proc.engine.exscan_counts([3, 1, 4, 1], "r"),
     )
-    _assert_ledgers_identical(sim.ledger, proc.ledger)
-
-
-def test_gather_to_root_matches(pool):
-    rng = np.random.default_rng(11)
-    sim, proc = _ctx_pair(ProcessGrid(1, 2), pool)
-    parts = [rng.standard_normal(n) for n in (5, 0, 7)]
-    a = sim.engine.gather_to_root(parts, "g")
-    b = proc.engine.gather_to_root(parts, "g")
-    assert np.array_equal(a, b)
     _assert_ledgers_identical(sim.ledger, proc.ledger)
 
 

@@ -97,6 +97,17 @@ def test_sparse_copy_independent(ctx):
     assert d.values[owner][0] == 1.0
 
 
+def test_sparse_with_values_shares_structure(ctx):
+    x = SparseVector.from_pairs(12, [0, 5, 11], [1.0, 2.0, 3.0])
+    d = DistSparseVector.from_sparse(ctx, x)
+    e = d.with_values(np.array([4, 5, 6]))
+    assert e.idx is d.idx and e.starts is d.starts
+    assert e.vals.dtype == np.float64 and np.array_equal(e.vals, [4.0, 5.0, 6.0])
+    assert np.array_equal(d.vals, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="match nnz"):
+        d.with_values(np.ones(2))
+
+
 def test_sparse_per_rank_shape_mismatch_rejected(ctx):
     # compensating per-rank length mismatches must not pair values with
     # the wrong rank's indices
