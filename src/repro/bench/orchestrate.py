@@ -33,7 +33,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from .schema import (
     MANIFEST_KIND,

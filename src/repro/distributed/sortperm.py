@@ -30,14 +30,20 @@ flat SoA vector — tuple formation and bucketing are single expressions,
 the per-bucket sorts collapse into one bucket-major ``lexsort``, the
 global ranks of the concatenated sorted buckets are ``arange``, and both
 Alltoalls reduce to charges from per-rank count arrays — while
-the per-rank driver (processes engine; ``rank_vectorized=False``)
-materializes per-rank buffers and engine supersteps.  Results and
-modeled ledgers are bit-identical.
+the per-rank pipeline :func:`d_sortperm_routed` (processes engine;
+``rank_vectorized=False``) materializes per-rank buffers and engine
+supersteps.  Results and modeled ledgers are bit-identical.  The
+pipeline takes each tuple's destination rank as a function: the bucket
+sort passes :func:`bucket_of_labels`, and the general samplesort of
+:mod:`repro.distributed.samplesort` passes its splitter search, the
+only step in which the two sorts differ.
 
 ``T_SORTPERM = O(n log n / p + beta n/p + iters * alpha * p)``.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -85,7 +91,13 @@ def d_sortperm(
         raise ValueError("label span must be positive")
     if x.ctx.flat_supersteps:
         return _d_sortperm_flat(x, degrees, label_base, label_span, region)
-    return _d_sortperm_perrank(x, degrees, label_base, label_span, region)
+    p = x.ctx.nprocs
+    return d_sortperm_routed(
+        x,
+        degrees,
+        region,
+        lambda tuples: bucket_of_labels(tuples[:, 0], float(label_base), label_span, p),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -152,52 +164,47 @@ def _d_sortperm_flat(
 
 
 # ----------------------------------------------------------------------
-# Per-rank reference driver (processes engine; rank_vectorized=False)
+# Per-rank pipeline (processes engine; rank_vectorized=False; samplesort)
 # ----------------------------------------------------------------------
-def _d_sortperm_perrank(
+def d_sortperm_routed(
     x: DistSparseVector,
     degrees: DistDenseVector,
-    label_base: int,
-    label_span: int,
     region: str,
+    destinations: Callable[[np.ndarray], np.ndarray],
 ) -> DistSparseVector:
+    """SORTPERM through per-rank buffers, engine collectives and supersteps.
+
+    ``destinations(tuples)`` maps the rank-ordered ``(parent, degree,
+    id)`` tuples (an ``(nnz, 3)`` array) to the rank each is sorted on;
+    every tuple sent to rank ``t`` must precede, lexicographically,
+    every tuple sent to rank ``t + 1``.  It runs after tuple formation
+    is charged and charges whatever choosing destinations costs: nothing
+    for the bucket sort, the sample Allgather and splitter search for
+    :func:`repro.distributed.samplesort.d_sortperm_samplesort`.
+    """
     ctx = x.ctx
     p = ctx.nprocs
-    offs = x.offs
-    x_indices, x_values, deg_segments = x.indices, x.values, degrees.segments
+    starts = x.starts
 
-    # ---- Step 1: form tuples and route to bucket owners ----------------
+    # ---- Step 1: form tuples and route them to their destinations -------
+    tuples = np.empty((x.idx.size, 3), dtype=np.float64)
+    tuples[:, 0] = x.vals
+    tuples[:, 1] = degrees.data[x.idx]
+    tuples[:, 2] = x.idx
+    ctx.charge_compute(region, x.rank_counts())
+    dest = destinations(tuples)
     send: list[list[np.ndarray]] = []
-    form_ops = []
     for k in range(p):
-        idx = x_indices[k]
-        form_ops.append(idx.size)
-        if idx.size == 0:
-            send.append([np.empty((0, 3)) for _ in range(p)])
-            continue
-        parent = x_values[k]
-        deg = deg_segments[k][idx - offs[k]]
-        tuples = np.empty((idx.size, 3), dtype=np.float64)
-        tuples[:, 0] = parent
-        tuples[:, 1] = deg
-        tuples[:, 2] = idx
-        buckets = bucket_of_labels(parent, float(label_base), label_span, p)
-        row = []
-        for t in range(p):
-            row.append(tuples[buckets == t])
-        send.append(row)
-    ctx.charge_compute(region, form_ops)
+        t, d = tuples[starts[k] : starts[k + 1]], dest[starts[k] : starts[k + 1]]
+        send.append([t[d == j] for j in range(p)])
     recv = ctx.engine.alltoall(send, region)
 
     # ---- Step 2: local lexicographic sorts (one superstep) --------------
     blocks: list[np.ndarray] = []
-    sort_keys = []
     for t in range(p):
         chunks = [c for c in recv[t] if c.size]
-        block = np.concatenate(chunks) if chunks else np.empty((0, 3))
-        sort_keys.append(block.shape[0])
-        blocks.append(block)
-    ctx.charge_sort(region, sort_keys)
+        blocks.append(np.concatenate(chunks) if chunks else np.empty((0, 3)))
+    ctx.charge_sort(region, [b.shape[0] for b in blocks])
     sorted_tuples = ctx.run_superstep("lexsort3", blocks, region)
 
     # ---- Step 3: exclusive scan of bucket sizes -------------------------
@@ -209,28 +216,24 @@ def _d_sortperm_perrank(
         block = sorted_tuples[t]
         ranks = scan[t] + np.arange(block.shape[0], dtype=np.int64)
         ids = block[:, 2].astype(np.int64)
-        owners = np.searchsorted(offs[1:], ids, side="right")
+        owners = np.searchsorted(x.offs[1:], ids, side="right")
         pairs = np.empty((block.shape[0], 2), dtype=np.float64)
         pairs[:, 0] = ids
         pairs[:, 1] = ranks
-        row = [pairs[owners == d] for d in range(p)]
-        send_back.append(row)
+        send_back.append([pairs[owners == d] for d in range(p)])
     back = ctx.engine.alltoall(send_back, region)
 
-    out_vals: list[np.ndarray] = []
+    out_vals = np.empty(x.idx.size, dtype=np.float64)
     place_ops = []
     for k in range(p):
         chunks = [c for c in back[k] if c.size]
         pairs = np.concatenate(chunks) if chunks else np.empty((0, 2))
-        idx = x_indices[k]
+        lo, hi = starts[k], starts[k + 1]
         place_ops.append(pairs.shape[0])
-        vals = np.empty(idx.size, dtype=np.float64)
-        if pairs.shape[0] != idx.size:
+        if pairs.shape[0] != hi - lo:
             raise AssertionError("SORTPERM lost or duplicated frontier entries")
-        if idx.size:
-            pos = np.searchsorted(idx, pairs[:, 0].astype(np.int64))
-            vals[pos] = pairs[:, 1]
-        out_vals.append(vals)
+        if pairs.shape[0]:
+            pos = np.searchsorted(x.idx[lo:hi], pairs[:, 0].astype(np.int64))
+            out_vals[lo + pos] = pairs[:, 1]
     ctx.charge_compute(region, place_ops)
-
-    return DistSparseVector(ctx, x.n, [i.copy() for i in x_indices], out_vals)
+    return x.with_values(out_vals)

@@ -107,24 +107,14 @@ class COOMatrix:
         )
 
     def coalesce(self) -> "COOMatrix":
-        """Sum duplicate coordinates and return a duplicate-free COO matrix."""
-        if self.nnz == 0:
-            return COOMatrix.empty(self.nrows, self.ncols)
-        key = self.rows * self.ncols + self.cols
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        vals_sorted = self.vals[order]
-        boundary = np.empty(key_sorted.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(key_sorted[1:], key_sorted[:-1], out=boundary[1:])
-        group_ids = np.cumsum(boundary) - 1
-        n_groups = int(group_ids[-1]) + 1
-        summed = np.zeros(n_groups, dtype=np.float64)
-        np.add.at(summed, group_ids, vals_sorted)
-        uniq = key_sorted[boundary]
-        return COOMatrix(
-            self.nrows, self.ncols, uniq // self.ncols, uniq % self.ncols, summed
-        )
+        """Sum duplicate coordinates and return a duplicate-free COO matrix.
+
+        Entries come out row-major and duplicates sum in original entry
+        order: the coalescing sort of ``CSRMatrix.from_coo``.
+        """
+        from .csr import CSRMatrix  # late import: csr builds on this module
+
+        return CSRMatrix.from_coo(self).to_coo()
 
     def drop_diagonal(self) -> "COOMatrix":
         """Remove diagonal entries (RCM works on the off-diagonal graph)."""

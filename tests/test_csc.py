@@ -89,6 +89,22 @@ def test_row_out_of_range_rejected():
         CSCMatrix(2, 2, np.array([0, 1, 1]), np.array([3]))
 
 
+@pytest.mark.parametrize(
+    "cls, n_major, n_minor, dim, minor_axis",
+    [(CSRMatrix, 2, 3, "nrows", "column"), (CSCMatrix, 3, 2, "ncols", "row")],
+)
+def test_each_layout_checks_its_own_axis(cls, n_major, n_minor, dim, minor_axis):
+    """A 2 x 3 matrix compresses 2 rows as CSR and 3 columns as CSC."""
+    # the other layout's indptr length is rejected, naming this one's axis
+    with pytest.raises(ValueError, match=rf"indptr must have {dim} \+ 1 entries"):
+        cls(2, 3, np.zeros(n_minor + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+    one_entry = np.ones(n_major + 1, dtype=np.int64)
+    one_entry[0] = 0
+    assert cls(2, 3, one_entry, [n_minor - 1]).shape == (2, 3)
+    with pytest.raises(ValueError, match=f"{minor_axis} index out of range"):
+        cls(2, 3, one_entry, [n_minor])
+
+
 def test_symmetric_matrix_csc_equals_csr_arrays():
     """For a symmetric matrix, CSC arrays coincide with CSR arrays —
     the identification the algebraic RCM driver relies on."""

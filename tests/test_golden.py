@@ -1,4 +1,4 @@
-"""Golden outputs: orderings and p=16 modeled ledgers pinned to values.
+"""Golden outputs: orderings, layouts and p=16 modeled ledgers pinned to values.
 
 The equivalence suites compare implementations with each other, so a
 change to a shared helper (the frontier dedup, the ordering key, the
@@ -6,11 +6,13 @@ final inverse, a collective's charge formula) that moves every
 implementation together passes them all.  These pins hold what the
 library actually outputs.  Orderings are pinned as the blake2b-128
 digest of the int64 permutation bytes, the same digest ``perfbench``
-pins for its road and rmat workloads.  Modeled ledgers are pinned
-exactly, per Fig. 4 region, for ``rcm_distributed`` at p=16.
+pins for its road and rmat workloads; the compressed layouts one
+matrix is stored in (its CSR and its p=16 CSC blocks) are pinned the
+same way, array by array.  Modeled ledgers are pinned exactly, per
+Fig. 4 region, for ``rcm_distributed`` at p=16.
 
-Regenerate a pin only for a deliberate change of the ordering or of
-the cost model.
+Regenerate a pin only for a deliberate change of the ordering, the
+storage layout or the cost model.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 import pytest
 
 from repro import rcm
+from repro.distributed import DistContext, DistSparseMatrix
 from repro.distributed.rcm import rcm_distributed
+from repro.machine import ProcessGrid
 from repro.matrices import PAPER_SUITE, disconnected_union, path_graph, stencil_2d
 from repro.matrices.random_graphs import rmat, road_mesh
 from tests.conftest import csr_from_edges
@@ -60,7 +64,11 @@ ZOO_DIGESTS = {
 
 
 def perm_digest(perm: np.ndarray) -> str:
-    data = np.ascontiguousarray(perm, dtype=np.int64).tobytes()
+    return array_digest(np.asarray(perm, dtype=np.int64))
+
+
+def array_digest(arr: np.ndarray) -> str:
+    data = np.ascontiguousarray(arr).tobytes()
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
@@ -79,6 +87,115 @@ def test_suite_golden(name):
 def test_zoo_golden(name):
     build, digest = ZOO_DIGESTS[name]
     assert perm_digest(rcm(build()).perm) == digest
+
+
+#: Digests of ``(indptr, indices, data)`` of ``rmat(12, seed=7)`` as CSR
+#: and of each CSC block of ``DistSparseMatrix.from_csr`` on it at p=16, in
+#: rank order.  The generator's duplicate edges sum to ``data`` values from
+#: 1 to 33, so the ``data`` digests also pin the coalescing sum.
+RMAT12_CSR_LAYOUT = (
+    "39e05bdc59e5a62342df61db6d3b8fe2",
+    "3aefecea74adc8e88495dc34b48fa9b4",
+    "51756ca4ddd452a6dda2c9c905a9f266",
+)
+
+RMAT12_P16_BLOCK_LAYOUTS = (
+    (
+        "57a125d8a8072dde2777d7d541cee2df",
+        "151064a7b45e5bec73b261806a4c8db7",
+        "9a95c1128afbd622e98e23530030b29a",
+    ),
+    (
+        "5303688e15bfb73fff96e5d6562c13da",
+        "adc08d3579dbf6563f0ea566f4e8fbfe",
+        "23c43f22898447d64cf9af9016967a60",
+    ),
+    (
+        "b82792cb4f968614dbe9efaa95818521",
+        "9e48680c3fc215880f24e42eefaa29e9",
+        "5dbfb08db0314d8235540dbcdbdc5c10",
+    ),
+    (
+        "8a0f951d8010f1ac64f94ef0817be26c",
+        "5cc00e3b4f5ecc06382ca74d6eb63467",
+        "bbd1857c80cba13f35844e2b155c9e88",
+    ),
+    (
+        "2ec7575da0070c3f0c6c1d47ea3f201e",
+        "ecd67bc8b5e03e3127c9027662a53d64",
+        "a1884584cf54c02d5e863d8def878ded",
+    ),
+    (
+        "5b1e897f6a3cb169658d0f5c512b3e86",
+        "92898e342eea91756ce62b2f30179e42",
+        "c4ec114f5d07f6c6fc4e4de4f9933ed6",
+    ),
+    (
+        "651238dbe925eadf25fbc652298dee45",
+        "2f8d985c843eaabcef76839f05353099",
+        "d619e94f158e5000020b55027060157a",
+    ),
+    (
+        "bf313fd0e13ea44282fc68a7490574e7",
+        "4b3b2546aa2ad044635291323fc34b10",
+        "5e8a0ad64e24174a24a22491ab034333",
+    ),
+    (
+        "895567ddf38428e6fdb6f44f7757c10c",
+        "18fed3199504be948f847e8b07d1f9bd",
+        "d700e8ea34667b0a4c2641c366d9b9d5",
+    ),
+    (
+        "3bff01b1febf2a8453eecade5c043160",
+        "f5e1427043170cfc48315b2f18a58bd2",
+        "6b0d1e8a77a12010d10e5221278735ff",
+    ),
+    (
+        "cb9e31050e7e702318780149990c165a",
+        "58915607ee1df4fb5086cc6615342716",
+        "d33de20057a27cfe191dc5b357b409a8",
+    ),
+    (
+        "180e4f56b530e8a2ab7007006275ddda",
+        "c0dedd5b7e4a5157213a66df2799d2de",
+        "ee04a1c1cb5f11e9dfbb2adf7e8e6ccd",
+    ),
+    (
+        "e36918f46dac6bf35f3f1a3d34cf50ad",
+        "4d6689ef5d573f2dbd99eebca2cecc2b",
+        "259f81e1fe1ddeb072cc34d7ceba33b3",
+    ),
+    (
+        "ce24fe8787e95db36717c030fd3b5e3c",
+        "d7aa52f43a4c2fb37bb9cf737a689937",
+        "1102e8f8e107bd73d294611dee01443f",
+    ),
+    (
+        "39e9bf74c5f604b9fcf189381eb5531a",
+        "ef1a7298b005852780ce3d57a988c4e4",
+        "f797c8fd7ed0b758e81a50bbfb4641ba",
+    ),
+    (
+        "251b326b6723e722e0d519247456d660",
+        "5857fbcbb0e7b7f5283c5ca38b6dc6e9",
+        "4a812d1bd9f06b36e572af2627dcad38",
+    ),
+)
+
+
+def layout_digests(m) -> tuple[str, str, str]:
+    return (array_digest(m.indptr), array_digest(m.indices), array_digest(m.data))
+
+
+def test_rmat12_layout_golden():
+    A = rmat(12, seed=7)
+    assert (A.data.min(), A.data.max()) == (1.0, 33.0)
+    assert layout_digests(A) == RMAT12_CSR_LAYOUT
+    ctx = DistContext(ProcessGrid(4, 4))
+    blocks = DistSparseMatrix.from_csr(ctx, A).blocks
+    assert len(RMAT12_P16_BLOCK_LAYOUTS) == ctx.nprocs
+    for r, pinned in enumerate(RMAT12_P16_BLOCK_LAYOUTS):
+        assert layout_digests(blocks[ctx.grid.coords(r)]) == pinned, r
 
 
 FIG4_REGIONS = (

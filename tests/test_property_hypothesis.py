@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) on core invariants.
 
 These cover the load-bearing invariants with randomized inputs:
-permutation algebra, ordering validity, semiring kernel equivalence,
-bucket-sort agreement with the serial sort, and metric consistency.
+permutation algebra, ordering validity, the CSC/CSR axis swap, semiring
+kernel equivalence, bucket-sort agreement with the serial sort, and
+metric consistency.
 """
 
 import numpy as np
@@ -22,7 +23,9 @@ from repro.distributed import (
 from repro.machine import ProcessGrid, zero_latency
 from repro.semiring import SELECT2ND_MIN, PLUS_TIMES, spmspv_csc, spmspv_csr
 from repro.sparse import (
+    COOMatrix,
     CSCMatrix,
+    CSRMatrix,
     SparseVector,
     invert_permutation,
     is_permutation,
@@ -50,6 +53,29 @@ def graphs(draw, max_n=28):
         )
     )
     return n, edges
+
+
+@st.composite
+def rectangular_coo(draw, max_dim=6, max_entries=40):
+    """A rectangular, generally asymmetric COO matrix with repeated entries.
+
+    Few lines and many entries make duplicates likely; non-integer
+    values make their sum depend on the summation order.
+    """
+    nrows = draw(st.integers(1, max_dim))
+    ncols = draw(st.integers(1, max_dim))
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, nrows - 1),
+                st.integers(0, ncols - 1),
+                st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+            ),
+            max_size=max_entries,
+        )
+    )
+    rows, cols, vals = np.array(entries, dtype=np.float64).reshape(-1, 3).T
+    return COOMatrix(nrows, ncols, rows, cols, vals)
 
 
 @st.composite
@@ -112,6 +138,20 @@ def test_symmetric_permutation_preserves_bandwidth_multiset(g):
     A = csr_from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     perm = rcm_serial(A).perm
     assert bandwidth(permute_symmetric(A, perm)) == bandwidth_of_permutation(A, perm)
+
+
+# ----------------------------------------------------------------------
+# Compressed layouts: CSC is CSR with the axes swapped
+# ----------------------------------------------------------------------
+@given(rectangular_coo())
+@settings(max_examples=80, deadline=None)
+def test_csc_is_csr_of_the_transpose(coo):
+    csc = CSCMatrix.from_coo(coo)
+    csr_t = CSRMatrix.from_coo(coo.transpose())
+    assert csc.shape == coo.shape and csr_t.shape == coo.shape[::-1]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(csc, name), getattr(csr_t, name)), name
+    assert np.allclose(csc.to_dense(), coo.to_dense())
 
 
 # ----------------------------------------------------------------------
