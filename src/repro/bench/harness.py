@@ -1376,7 +1376,7 @@ def run_skyline(scale: float = 1.0, quick: bool = False) -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Service — the batched async reordering server under concurrent load
+# Service — the async reordering server under concurrent load
 # ----------------------------------------------------------------------
 def measure_service(
     workers: int = 2,
@@ -1408,7 +1408,6 @@ def measure_service(
         config = ServiceConfig(
             workers=workers,
             max_pending=max(submissions, 1),
-            max_batch=max(2 * workers, 8),
             cache_capacity=max(2 * unique, 8),
             scale=scale,
         )
@@ -1527,7 +1526,7 @@ def measure_disk_cache(
 def run_service(scale: float = 1.0, quick: bool = False) -> ExperimentResult:
     """Extension — ordering-as-a-service under concurrent load.
 
-    Exercises the batched async reordering server end to end: concurrent
+    Exercises the async reordering server end to end: concurrent
     submissions over a known-duplicate workload on a 2-worker pool, with
     single-flight dedup and warm-cache hit latency measured and the
     dedup hit rate enforced against the duplicate ratio.

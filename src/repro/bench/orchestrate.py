@@ -14,9 +14,9 @@ campaign skips completed runs entirely.
 
 Failure semantics (reusing the PR 8 machinery):
 
-* A run that *raises* returns its traceback in-band from the worker
-  (the ``service_rcm`` convention) — deterministic, so it is marked
-  failed immediately and the campaign continues.
+* A run that *raises* returns its traceback in-band from the worker, so
+  it cannot abort its ``map_ranks`` wave; the failure is deterministic,
+  so the run is marked failed immediately and the campaign continues.
 * A run whose worker *crashes or hangs* (pool deadline) triggers
   :meth:`WorkerPool.repair`; the wave's runs are re-dispatched one at a
   time so only the poisoned run burns retries, until ``retries`` is
@@ -168,9 +168,9 @@ def execute_run(payload) -> tuple:
     """Run one campaign cell; report errors in-band (never raise).
 
     ``payload = (experiment, kwargs)``.  Returns
-    ``("ok", result_dict, seconds)`` or ``("err", traceback_text)`` —
-    the ``service_rcm`` convention, so one failing experiment cannot
-    abort the rest of its wave through :class:`TaskError`.
+    ``("ok", result_dict, seconds)`` or ``("err", traceback_text)``, so
+    one failing experiment cannot abort the rest of its wave through
+    :class:`TaskError`.
     """
     experiment, kwargs = payload
     t0 = time.perf_counter()

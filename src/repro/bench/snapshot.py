@@ -29,7 +29,7 @@ one schema-versioned JSON document the history subsystem
   workload, each in its own subprocess, per-block nnz enforced identical
   (:func:`~repro.bench.harness.measure_ingest`);
 * **service** — throughput, warm cache-hit latency and dedup hit rate
-  of the batched async reordering server under concurrent load, hit
+  of the async reordering server under concurrent load, hit
   rate enforced equal to the workload's duplicate ratio
   (:func:`~repro.bench.harness.measure_service`).
 
@@ -326,7 +326,7 @@ def collect_metrics(config: SnapshotConfig) -> dict[str, dict]:
         gate=False,
     )
 
-    # -------- service: the batched async reordering server ---------------
+    # -------- service: the async reordering server -----------------------
     # One concurrent-load run against a fresh 2-worker service (the load
     # itself enforces dedup hit rate == duplicate ratio, so a passing
     # number is also a correctness check).  Service timings mix asyncio

@@ -57,6 +57,7 @@ handed to the call site verbatim.  Example::
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 __all__ = [
@@ -127,6 +128,10 @@ _HITS: dict[str, int] = {}
 #: chronological ``(point, hit)`` log of every fault that actually
 #: fired — what the determinism tests compare across runs.
 _EVENTS: list[tuple[str, int]] = []
+
+#: guards ``_HITS`` and ``_EVENTS``: the pool sends from several threads,
+#: and an unlocked read-modify-write of a hit count loses hits
+_LOCK = threading.Lock()
 
 
 def parse_spec(text: str) -> FaultSpec:
@@ -201,11 +206,12 @@ def fire(point: str) -> FaultSpec | None:
     specs = _ARMED.get(point)
     if not specs:
         return None
-    _HITS[point] = hit = _HITS.get(point, 0) + 1
-    for spec in specs:
-        if spec.fires_at(hit):
-            _EVENTS.append((point, hit))
-            return spec
+    with _LOCK:
+        _HITS[point] = hit = _HITS.get(point, 0) + 1
+        for spec in specs:
+            if spec.fires_at(hit):
+                _EVENTS.append((point, hit))
+                return spec
     return None
 
 

@@ -11,6 +11,11 @@ pipe.  Simulated ranks map onto workers in contiguous chunks
 (matrix blocks), so a rank's state and its supersteps always land on the
 same worker.
 
+:meth:`map_ranks` and the other supersteps address every worker and
+return when all have replied, the barrier the BSP ledger assumes;
+:meth:`call` runs one task on one worker, so threads can keep disjoint
+workers busy with independent requests (the service's serial lane).
+
 Failure model: a worker that dies (killed, OOM, segfault) surfaces as
 :class:`WorkerCrashError` on the next dispatch; a worker that *hangs* —
 wedged in a syscall, spinning, or silently dropping its reply — is
@@ -20,10 +25,11 @@ a timeout instead of a blocking ``recv``), SIGKILLed, and surfaced as
 every existing recovery path treats it as a retriable crash); a task
 that merely raises surfaces as :class:`TaskError` carrying *every*
 failed worker's traceback while the workers — and the pool — stay
-usable.  After a crash the pool refuses further dispatch until
-:meth:`repair` replaces the dead workers in place (fresh processes,
-fresh pipes, same pool object) — the serving layer's recovery path,
-which avoids refork-the-world restarts.
+usable.  Health is per worker: one that died, was declared wedged or
+still owes a reply from an interrupted exchange refuses dispatch until
+:meth:`repair` replaces it in place (fresh process, fresh pipe, same
+pool object) while the others keep serving — the serving layer's
+recovery path, which avoids refork-the-world restarts.
 ``close()`` is idempotent (including concurrent double-close from a
 service thread racing the interpreter-exit hook), runs at interpreter
 exit for any leaked pool, and tears down processes and shared-memory
@@ -53,7 +59,7 @@ _UNSET = object()
 
 
 class WorkerCrashError(RuntimeError):
-    """A worker process died; the pool can no longer complete supersteps."""
+    """A worker process died; it refuses dispatch until repaired."""
 
 
 class WorkerTimeoutError(WorkerCrashError):
@@ -107,14 +113,17 @@ class WorkerPool:
         self._procs = []
         self._conns = []
         self._closed = False
-        self._broken = False
         #: close() may race between a service thread, atexit and __del__;
         #: the lock makes "first caller tears down, everyone else returns"
         #: hold even for concurrent callers
         self._close_lock = threading.Lock()
-        #: workers with a message sent but the reply not yet received —
-        #: what repair() must settle before the pipe protocol is in sync
-        self._pending: set[int] = set()
+        #: guards ``_busy`` and ``_down`` against concurrent dispatchers
+        self._lock = threading.Lock()
+        #: workers inside some thread's exchange (or repair) right now
+        self._busy: set[int] = set()
+        #: workers that refuse dispatch until repair(): dead, declared
+        #: wedged, or owing a reply from an interrupted exchange
+        self._down: set[int] = set()
         #: keys already scattered to workers (dedup for ensure-style callers)
         self.registered_keys: set[str] = set()
         self.in_arena = Arena("in")
@@ -153,18 +162,25 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
+    def _claim(self, workers) -> None:
+        """Mark ``workers`` busy for one exchange, or refuse it."""
         if self._closed:
             raise RuntimeError("pool is closed")
-        if self._broken:
-            raise WorkerCrashError(
-                "a worker died earlier; the pool must be closed and rebuilt"
-            )
+        with self._lock:
+            down = self._down.intersection(workers)
+            if down:
+                raise WorkerCrashError(
+                    f"worker(s) {sorted(down)} failed earlier; "
+                    f"repair() replaces them in place"
+                )
+            busy = self._busy.intersection(workers)
+            if busy:
+                raise RuntimeError(
+                    f"worker(s) {sorted(busy)} busy in another thread's call"
+                )
+            self._busy.update(workers)
 
     def _crash(self, worker: int, cause: BaseException) -> WorkerCrashError:
-        # the pipe protocol is desynced once a worker is lost mid-exchange;
-        # refuse further dispatch until repair() resynchronizes the pool
-        self._broken = True
         proc = self._procs[worker]
         proc.join(timeout=0.5)
         return WorkerCrashError(
@@ -173,11 +189,10 @@ class WorkerPool:
         )
 
     def _wedged(self, waiting: set[int], deadline: float) -> WorkerTimeoutError:
-        """Declare every still-unanswered worker wedged: SIGKILL them,
-        mark the pool broken, and build the timeout error.  The killed
-        workers stay in ``_pending`` — :meth:`repair` settles them (their
-        pipes now read EOF) exactly like externally killed workers."""
-        self._broken = True
+        """Declare every still-unanswered worker wedged: SIGKILL them and
+        build the timeout error.  The killed workers still owe replies —
+        :meth:`repair` settles them (their pipes now read EOF) exactly like
+        externally killed workers."""
         details = []
         for w in sorted(waiting):
             proc = self._procs[w]
@@ -216,50 +231,57 @@ class WorkerPool:
         :class:`TaskError` — aggregating *every* failed worker's remote
         traceback — if any task raised.
         """
-        self._check_open()
+        self._claim(messages)
         if deadline is _UNSET:
             deadline = self.deadline
-        for w, msg in messages.items():
-            if faults.active():
-                msg = self._inject_send_fault(msg)
-            try:
-                self._conns[w].send(msg)
-            except (BrokenPipeError, OSError) as exc:
-                raise self._crash(w, exc) from exc
-            # a sent message owes a reply even if the send itself landed
-            # in the pipe buffer of an already-dead worker
-            self._pending.add(w)
-        waiting = set(messages)
-        conn_owner = {id(self._conns[w]): w for w in waiting}
-        deadline_at = (
-            None if deadline is None else time.monotonic() + float(deadline)
-        )
+        conns = {w: self._conns[w] for w in messages}
+        conn_owner = {id(conn): w for w, conn in conns.items()}
+        waiting: set[int] = set()
         replies: dict[int, tuple[float, Any]] = {}
         failures: list[tuple[int, str]] = []
-        while waiting:
-            timeout = None
-            if deadline_at is not None:
-                timeout = max(deadline_at - time.monotonic(), 0.0)
-            ready = _wait_ready([self._conns[w] for w in waiting], timeout)
-            if not ready:
-                raise self._wedged(waiting, float(deadline))
-            for conn in ready:
-                w = conn_owner[id(conn)]
+        try:
+            for w, msg in messages.items():
+                if faults.active():
+                    msg = self._inject_send_fault(msg)
+                # owed from here on, even if the send fails or lands in
+                # the pipe buffer of an already-dead worker
+                waiting.add(w)
                 try:
-                    reply = conn.recv()
-                except (EOFError, OSError) as exc:
+                    conns[w].send(msg)
+                except (BrokenPipeError, OSError) as exc:
                     raise self._crash(w, exc) from exc
-                if faults.fire("pipe.drop_reply") is not None:
-                    # the reply is "lost in transit": the work happened
-                    # but the answer never arrives, so only the deadline
-                    # can detect the stall (hang-detection's worst case)
-                    continue
-                waiting.discard(w)
-                self._pending.discard(w)
-                if reply[0] == "err":
-                    failures.append((w, reply[1]))
-                else:
-                    replies[w] = (reply[1], reply[2])
+            deadline_at = (
+                None if deadline is None else time.monotonic() + float(deadline)
+            )
+            while waiting:
+                timeout = None
+                if deadline_at is not None:
+                    timeout = max(deadline_at - time.monotonic(), 0.0)
+                ready = _wait_ready([conns[w] for w in waiting], timeout)
+                if not ready:
+                    raise self._wedged(waiting, float(deadline))
+                for conn in ready:
+                    w = conn_owner[id(conn)]
+                    try:
+                        reply = conn.recv()
+                    except (EOFError, OSError) as exc:
+                        raise self._crash(w, exc) from exc
+                    if faults.fire("pipe.drop_reply") is not None:
+                        # the reply is "lost in transit": the work happened
+                        # but the answer never arrives, so only the deadline
+                        # can detect the stall (hang-detection's worst case)
+                        continue
+                    waiting.discard(w)
+                    if reply[0] == "err":
+                        failures.append((w, reply[1]))
+                    else:
+                        replies[w] = (reply[1], reply[2])
+        finally:
+            with self._lock:
+                # a worker still owed a reply is out of step with the pipe
+                # protocol until repair() drains or replaces it
+                self._down.update(waiting)
+                self._busy.difference_update(messages)
         if failures:
             detail = "\n".join(
                 f"task failed on worker {w}:\n{tb}" for w, tb in failures
@@ -304,6 +326,11 @@ class WorkerPool:
             cursor[w] += 1
         return results, worker_secs, wall
 
+    def call(self, worker: int, name: str, payload: Any) -> Any:
+        """Run task ``name`` on ``payload`` on worker ``worker`` alone and
+        return its result; the other workers stay free for other threads."""
+        return self._exchange({worker: ("map", name, [payload])})[worker][1][0]
+
     def ping(self) -> tuple[float, float]:
         """One empty round trip: ``(max_worker_seconds, wall_seconds)``."""
         _, worker_secs, wall = self.map_ranks("ping", [])
@@ -325,14 +352,14 @@ class WorkerPool:
         self.registered_keys.add(key)
 
     def drop_object(self, key: str) -> None:
-        """Free object ``key`` on every worker (no-op on dead pools).
+        """Free object ``key`` on every worker (no-op while one is down).
 
         Shared long-lived pools otherwise accumulate one resident blocks
         payload per matrix; call this when a matrix is done with the
         pool.
         """
         self.registered_keys.discard(key)
-        if self._closed or self._broken:
+        if self._closed or self._down:
             return
         self._exchange({w: ("del", key) for w in range(self.nworkers)})
 
@@ -342,14 +369,14 @@ class WorkerPool:
     def repair(self, timeout: float = 5.0) -> list[int]:
         """Replace dead workers and resynchronize the pipe protocol.
 
-        Call after a :class:`WorkerCrashError`: settles every
-        outstanding reply on surviving workers (draining stale replies
-        from the interrupted exchange), forks a fresh process (with a
-        fresh pipe) into each dead slot, and clears the broken flag so
-        dispatch works again — on the *same* pool object, preserving
-        arenas and rank placement.  A surviving worker that does not
-        answer within ``timeout`` seconds is treated as wedged and
-        replaced too.
+        Call after a :class:`WorkerCrashError`: drains the stale reply a
+        surviving worker still owes from the interrupted exchange, forks
+        a fresh process (with a fresh pipe) into each dead slot, and
+        returns both to service — on the *same* pool object, preserving
+        arenas and rank placement.  A down worker that does not answer
+        within ``timeout`` seconds is treated as wedged and replaced too.
+        Workers inside another thread's call are left alone: that call
+        settles them, and a later repair() replaces them if it fails.
 
         Replaced workers start with empty object stores, so
         ``registered_keys`` is cleared whenever any slot is replaced:
@@ -362,35 +389,43 @@ class WorkerPool:
         """
         if self._closed:
             raise RuntimeError("pool is closed")
+        with self._lock:
+            free = [w for w in range(self.nworkers) if w not in self._busy]
+            exited = {w for w in free if not self._procs[w].is_alive()}
+            settle = exited | (self._down - self._busy)
+            # claimed: a concurrent dispatch to them is refused as a crash
+            # (retriable) instead of racing the respawn
+            self._down |= settle
+            self._busy |= settle
         dead: set[int] = set()
-        deadline = time.monotonic() + timeout
-        for w in sorted(self._pending):
-            conn = self._conns[w]
-            try:
-                if conn.poll(max(deadline - time.monotonic(), 0.0)):
-                    conn.recv()  # stale reply from the interrupted exchange
-                    self._pending.discard(w)
-                else:  # alive but unresponsive: replace rather than hang
+        try:
+            deadline = time.monotonic() + timeout
+            for w in sorted(settle):
+                try:
+                    if self._procs[w].is_alive() and self._conns[w].poll(
+                        max(deadline - time.monotonic(), 0.0)
+                    ):
+                        self._conns[w].recv()  # the interrupted exchange's reply
+                    else:  # dead, or alive but unresponsive: replace
+                        dead.add(w)
+                except (EOFError, OSError):
                     dead.add(w)
-            except (EOFError, OSError):
-                dead.add(w)
-        for w, proc in enumerate(self._procs):
-            if not proc.is_alive():
-                dead.add(w)
-        for w in sorted(dead):
-            proc = self._procs[w]
-            if proc.is_alive():  # pragma: no cover - wedged worker
-                proc.terminate()
-            proc.join(timeout=timeout)
-            try:
-                self._conns[w].close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            self._spawn(w)
-            self._pending.discard(w)
-        self._broken = False
-        if dead:
-            self.registered_keys.clear()
+            for w in sorted(dead):
+                proc = self._procs[w]
+                if proc.is_alive():  # pragma: no cover - wedged worker
+                    proc.terminate()
+                proc.join(timeout=timeout)
+                try:
+                    self._conns[w].close()
+                except OSError:  # pragma: no cover - already closed
+                    pass
+                self._spawn(w)
+            if dead:
+                self.registered_keys.clear()
+            self._down -= settle
+        finally:
+            with self._lock:
+                self._busy -= settle
         return sorted(dead)
 
     # ------------------------------------------------------------------

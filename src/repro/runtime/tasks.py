@@ -168,11 +168,11 @@ def _service_rcm(state: RuntimeState, payload) -> tuple:
     """One full reordering request (build + serial RCM) on a worker.
 
     The service's serial lane: payloads come from
-    :func:`repro.service.requests.encode_request` and errors return
-    in-band (``("err", traceback)``) so one bad request cannot abort the
-    rest of its batch.  Registered here — not in :mod:`repro.service` —
-    so the task exists in workers under any start method, not only the
-    fork-inherited registry.
+    :func:`repro.service.requests.encode_request`, one request per
+    :meth:`~repro.runtime.pool.WorkerPool.call`, so a request that raises
+    fails as its own call's ``TaskError``.  Registered here — not in
+    :mod:`repro.service` — so the task exists in workers under any start
+    method, not only the fork-inherited registry.
     """
     from ..service.requests import execute_request
 
@@ -186,8 +186,9 @@ def _bench_run(state: RuntimeState, payload) -> tuple:
     The campaign orchestrator's executor: payloads come from
     :func:`repro.bench.orchestrate.expand_runs` as ``(experiment,
     kwargs)`` and errors return in-band (``("err",
-    traceback)``) so one failing experiment cannot abort its wave —
-    only a worker crash/hang reaches the pool's repair path.
+    traceback)``) so one failing experiment cannot abort its
+    ``map_ranks`` wave — only a worker crash/hang reaches the pool's
+    repair path.
     """
     from ..bench.orchestrate import execute_run
 

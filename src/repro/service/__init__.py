@@ -1,9 +1,9 @@
-"""Ordering-as-a-service: the long-lived batched reordering server.
+"""Ordering-as-a-service: the long-lived reordering server.
 
 ROADMAP item 3: the paper's pipeline (pseudo-peripheral find -> BFS ->
 RCM) wrapped in a persistent asyncio service that serves heavy
 concurrent traffic.  Clients submit matrices or spec strings; a
-scheduler coalesces concurrent requests into batches on a warmed
+scheduler hands each request to an idle worker of a warmed
 :class:`~repro.runtime.pool.WorkerPool`; results are cached by matrix
 content-hash with single-flight dedup; admission control bounds the
 queue; worker crashes are recovered in place; every result carries a

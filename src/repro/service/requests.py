@@ -1,13 +1,11 @@
 """Request payloads and their worker-side execution.
 
-A serial-lane request travels to a :class:`~repro.runtime.pool.WorkerPool`
+A serial-lane request travels to one :class:`~repro.runtime.pool.WorkerPool`
 worker as a small picklable payload — either the CSR arrays themselves
-or a spec string the worker materializes locally — and comes back as an
-in-band ``("ok", ...)``/``("err", traceback)`` reply.  Errors are
-in-band by design: ``map_ranks`` raises :class:`~repro.runtime.pool.TaskError`
-for the *whole* dispatch when any task raises, which would throw away
-the good results of every other request in the batch.  One malformed
-request must fail alone.
+or a spec string the worker materializes locally.  A request that
+raises comes back as that one call's
+:class:`~repro.runtime.pool.TaskError`, traceback included; no other
+request shares the call, so a malformed request fails alone.
 
 Cost accounting uses the existing :class:`~repro.machine.cost.CostLedger`
 machinery: each request charges its measured build and ordering seconds
@@ -19,7 +17,6 @@ distributed lane reports from its modeled Fig. 4 ledger.
 from __future__ import annotations
 
 import time
-import traceback
 
 from ..machine.cost import CostLedger
 from ..sparse.csr import CSRMatrix
@@ -47,44 +44,38 @@ def encode_request(matrix, scale: float = 1.0) -> tuple:
 
 
 def execute_request(payload: tuple) -> tuple:
-    """Run one reordering request; never raises.
+    """Run one reordering request.
 
-    Returns ``("ok", perm, algorithm, n, regions, cost_seconds)`` with
-    ``regions`` the ledger breakdown (region name -> seconds), or
-    ``("err", traceback_text)`` — the caller fails that one request and
-    keeps the batch.
+    Returns ``(perm, algorithm, n, regions, cost_seconds)`` with
+    ``regions`` the ledger breakdown (region name -> seconds).
     """
-    try:
-        from ..core.rcm_serial import rcm_serial
+    from ..core.rcm_serial import rcm_serial
 
-        ledger = CostLedger()
-        t0 = time.perf_counter()
-        kind = payload[0]
-        if kind == "csr":
-            _, nrows, ncols, indptr, indices, data = payload
-            A = CSRMatrix(nrows, ncols, indptr, indices, data)
-        elif kind == "spec":
-            _, spec, scale = payload
-            A = build_spec(spec, scale)
-        else:
-            raise ValueError(f"unknown request payload kind {kind!r}")
-        if A.nrows != A.ncols:
-            raise ValueError("RCM requires a square (symmetric) matrix")
-        ledger.charge_compute(
-            "service:build", time.perf_counter() - t0, operations=A.indices.size
-        )
-        t1 = time.perf_counter()
-        ordering = rcm_serial(A)
-        ledger.charge_compute(
-            "service:rcm", time.perf_counter() - t1, operations=A.indices.size
-        )
-        return (
-            "ok",
-            ordering.perm,
-            ordering.algorithm,
-            A.nrows,
-            ledger.breakdown(),
-            ledger.total_seconds,
-        )
-    except Exception:
-        return ("err", traceback.format_exc())
+    ledger = CostLedger()
+    t0 = time.perf_counter()
+    kind = payload[0]
+    if kind == "csr":
+        _, nrows, ncols, indptr, indices, data = payload
+        A = CSRMatrix(nrows, ncols, indptr, indices, data)
+    elif kind == "spec":
+        _, spec, scale = payload
+        A = build_spec(spec, scale)
+    else:
+        raise ValueError(f"unknown request payload kind {kind!r}")
+    if A.nrows != A.ncols:
+        raise ValueError("RCM requires a square (symmetric) matrix")
+    ledger.charge_compute(
+        "service:build", time.perf_counter() - t0, operations=A.indices.size
+    )
+    t1 = time.perf_counter()
+    ordering = rcm_serial(A)
+    ledger.charge_compute(
+        "service:rcm", time.perf_counter() - t1, operations=A.indices.size
+    )
+    return (
+        ordering.perm,
+        ordering.algorithm,
+        A.nrows,
+        ledger.breakdown(),
+        ledger.total_seconds,
+    )

@@ -2,8 +2,8 @@
 
 Wire protocol: newline-delimited JSON, one object per request, answered
 in order per connection (concurrency comes from concurrent connections
-— each connection handler submits into the shared service, where the
-scheduler batches across all of them).
+— each connection handler submits into the shared service, whose
+scheduler hands each request to an idle worker).
 
 Request fields::
 
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description=(
-            "Long-lived batched RCM reordering server: newline-delimited "
+            "Long-lived RCM reordering server: newline-delimited "
             "JSON over TCP, content-hash result caching with single-flight "
             "dedup, admission control, and worker-crash recovery.  "
             "Orderings are bit-identical to direct repro.rcm calls."
@@ -233,12 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="admission bound: unique jobs queued or running before 429s",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        help="unique requests coalesced into one pool dispatch",
     )
     parser.add_argument(
         "--cache-capacity", type=int, default=256, help="LRU result-cache entries"
@@ -283,7 +277,6 @@ async def _run(args) -> int:
     config = ServiceConfig(
         workers=args.workers,
         max_pending=args.max_pending,
-        max_batch=args.max_batch,
         cache_capacity=args.cache_capacity,
         deadline=args.deadline,
         max_retries=args.max_retries,

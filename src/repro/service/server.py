@@ -1,13 +1,14 @@
-"""Ordering-as-a-service: the batched async reordering server.
+"""Ordering-as-a-service: the async reordering server.
 
 The paper's pipeline as a long-lived service (ROADMAP item 3): clients
 submit matrices (or ``zoo:``/suite spec strings) through an asyncio
-front-end, a scheduler coalesces concurrent requests into batches, and
-the batches execute on a warmed :class:`~repro.runtime.pool.WorkerPool`
-— one request per worker slot in the serial lane, or the full
-distributed algorithm on a warmed shared :class:`~repro.distributed.context.DistContext`
-for ``nprocs=`` requests.  Orderings are bit-identical to direct
-:func:`repro.rcm` calls; the service adds *serving* semantics:
+front-end, and a scheduler hands each request, in arrival order, to a
+warmed :class:`~repro.runtime.pool.WorkerPool` — one idle worker per
+serial-lane request, resolved as soon as that worker replies, or every
+worker for an ``nprocs=`` request, whose distributed supersteps run on a
+warmed shared :class:`~repro.distributed.context.DistContext`.
+Orderings are bit-identical to direct :func:`repro.rcm` calls; the
+service adds *serving* semantics:
 
 * **content-addressed caching** — results are keyed by the matrix
   content-hash (:mod:`repro.service.hashing`) in a bounded LRU
@@ -22,14 +23,14 @@ for ``nprocs=`` requests.  Orderings are bit-identical to direct
   :class:`~repro.machine.cost.CostLedger` region breakdown (measured
   seconds in the serial lane, the modeled Fig. 4 ledger in the
   distributed lane);
-* **crash and hang recovery** — a worker SIGKILLed mid-batch (or one
+* **crash and hang recovery** — a worker SIGKILLed mid-request (or one
   that misses the configured ``deadline`` and is declared wedged —
   :class:`~repro.runtime.pool.WorkerTimeoutError`) is replaced in place
-  (:meth:`WorkerPool.repair`) and the affected requests are re-queued
-  with bounded exponential backoff (``max_retries`` / ``retry_backoff_ms``)
-  or failed cleanly — :class:`RequestTimeoutError` (504-style) when the
-  terminal cause was a missed deadline; partial results never enter
-  the cache;
+  (:meth:`WorkerPool.repair`, which leaves the other requests' workers
+  alone) and only that request is re-queued, with bounded exponential
+  backoff (``max_retries`` / ``retry_backoff_ms``), or failed cleanly —
+  :class:`RequestTimeoutError` (504-style) when the terminal cause was a
+  missed deadline; partial results never enter the cache;
 * **persistent results** — with ``disk_cache_dir`` set, finished results
   also land in a crash-safe :class:`~repro.service.cache.DiskResultCache`
   (atomic writes, checksummed reads, corrupt entries quarantined), so a
@@ -110,14 +111,10 @@ class ServiceConfig:
     """Knobs of one service instance."""
 
     #: worker processes in the pool (the serial lane runs one request
-    #: per worker slot; the distributed lane shares the same pool)
+    #: per idle worker; a distributed request takes them all)
     workers: int = 2
     #: admission bound: unique jobs queued or running before 429s
     max_pending: int = 32
-    #: unique requests coalesced into one pool dispatch
-    max_batch: int = 8
-    #: how long the scheduler holds an open batch for joiners
-    batch_window_ms: float = 2.0
     #: re-queues granted to a request interrupted by a worker crash
     max_retries: int = 1
     #: bounded LRU result-cache capacity
@@ -126,12 +123,12 @@ class ServiceConfig:
     scale: float = 1.0
     #: per-dispatch reply deadline in seconds (None = wait forever): a
     #: worker that misses it is declared wedged, SIGKILLed and replaced;
-    #: the interrupted requests retry up to ``max_retries`` times, so a
+    #: the interrupted request retries up to ``max_retries`` times, so a
     #: request's worst-case wall is ~``(max_retries + 1) * deadline``
     #: plus the backoff sleeps
     deadline: float | None = None
     #: base of the bounded exponential backoff between a crash/timeout
-    #: repair and the re-dispatch of the interrupted requests
+    #: repair and the re-queue of the interrupted request
     retry_backoff_ms: float = 25.0
     #: directory of the persistent on-disk result tier (None = memory
     #: LRU only); survives restarts, verified on read, crash-safe writes
@@ -152,7 +149,7 @@ class ServiceStats:
     coalesced: int = 0  # single-flight joiners of an in-flight job
     computed: int = 0  # unique jobs that finished successfully
     failed: int = 0  # unique jobs that failed
-    batches: int = 0
+    batches: int = 0  # pool dispatches, one per job attempt
     worker_crashes: int = 0  # crash *or* deadline-timeout recoveries
     timeouts: int = 0  # recoveries whose cause was a missed deadline
     workers_replaced: int = 0
@@ -213,14 +210,12 @@ class _Job:
 
 
 class ReorderingService:
-    """The batching reordering server; one instance per event loop."""
+    """The reordering server; one instance per event loop."""
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         if self.config.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.config.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self.stats = ServiceStats()
         self.cache = ResultCache(self.config.cache_capacity)
         self.disk: DiskResultCache | None = (
@@ -232,6 +227,10 @@ class ReorderingService:
         )
         self._pool: WorkerPool | None = None
         self._queue: asyncio.Queue[_Job] | None = None
+        #: ids of the workers no job holds, in the order they came free
+        self._idle: asyncio.Queue[int] | None = None
+        #: the running jobs (the loop holds tasks only weakly)
+        self._running: set[asyncio.Task] = set()
         self._inflight: dict[str, _Job] = {}
         self._dist_ctxs: dict[int, Any] = {}
         self._scheduler_task: asyncio.Task | None = None
@@ -246,6 +245,9 @@ class ReorderingService:
         if self._started:
             raise RuntimeError("service already started")
         self._queue = asyncio.Queue()
+        self._idle = asyncio.Queue()
+        for w in range(self.config.workers):
+            self._idle.put_nowait(w)
         self._pool = WorkerPool(self.config.workers, deadline=self.config.deadline)
         self._pool.ping()  # warm: first dispatch pays no fork/attach cost
         self._scheduler_task = asyncio.create_task(
@@ -272,6 +274,7 @@ class ReorderingService:
         self._scheduler_task.cancel()
         with contextlib.suppress(asyncio.CancelledError):
             await self._scheduler_task
+        await asyncio.gather(*self._running)
         pool, self._pool = self._pool, None
         self._dist_ctxs.clear()
         if pool is not None:
@@ -355,93 +358,67 @@ class ReorderingService:
         )
 
     # ------------------------------------------------------------------
-    # Scheduler (the batching half)
+    # Scheduler (the dispatching half)
     # ------------------------------------------------------------------
     async def _scheduler(self) -> None:
-        loop = asyncio.get_running_loop()
+        """Hand each job, in arrival order, the workers it needs."""
         while True:
-            batch = [await self._queue.get()]
-            deadline = loop.time() + self.config.batch_window_ms / 1000.0
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    try:  # window over: take only what is already queued
-                        batch.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                else:
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self._queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            try:
-                await self._run_batch(batch)
-            except Exception as exc:
-                # the scheduler must outlive any batch: fail whatever is
-                # still in flight and keep serving the queue
-                for job in batch:
-                    if self._inflight.get(job.key) is job:
-                        self._fail(
-                            job,
-                            RequestFailedError(f"batch execution failed: {exc!r}"),
-                        )
+            job = await self._queue.get()
+            # a distributed job's supersteps address the whole pool
+            need = 1 if job.nprocs is None else self._pool.nworkers
+            workers = [await self._idle.get() for _ in range(need)]
+            task = asyncio.create_task(self._run(job, workers))
+            self._running.add(task)
+            task.add_done_callback(self._running.discard)
 
-    async def _run_batch(self, batch: list[_Job]) -> None:
+    async def _run(self, job: _Job, workers: list[int]) -> None:
+        """One attempt of ``job`` on ``workers``; settles or re-queues it."""
         self.stats.batches += 1
         dispatched_at = time.perf_counter()
-        serial = [job for job in batch if job.nprocs is None]
-        if serial:
-            payloads = [encode_request(job.matrix, self.config.scale) for job in serial]
+        backoff = None
+        try:
             try:
-                t0 = time.perf_counter()
-                replies, _, _ = await asyncio.to_thread(
-                    self._pool.map_ranks, "service_rcm", payloads
-                )
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-            except WorkerCrashError as exc:
-                await self._recover(serial, exc)
-            else:
-                for job, reply in zip(serial, replies):
-                    self._finish_serial(job, reply, dispatched_at, wall_ms)
-        for job in [job for job in batch if job.nprocs is not None]:
-            try:
-                computed = await asyncio.to_thread(
-                    self._run_distributed, job, dispatched_at
-                )
-            except WorkerCrashError as exc:
-                await self._recover([job], exc)
-            except Exception as exc:
-                self._fail(job, RequestFailedError(f"{type(exc).__name__}: {exc}"))
-            else:
+                if job.nprocs is None:
+                    computed = await self._run_serial(job, workers[0], dispatched_at)
+                else:
+                    computed = await asyncio.to_thread(
+                        self._run_distributed, job, dispatched_at
+                    )
                 self._finish(job, computed)
+            except WorkerCrashError as exc:
+                backoff = await self._recover(job, exc)
+        except Exception as exc:
+            # a job that fails fails alone; the scheduler keeps serving
+            self._fail(job, RequestFailedError(f"{type(exc).__name__}: {exc}"))
+        finally:
+            for w in workers:
+                self._idle.put_nowait(w)
+        if backoff is not None:
+            await asyncio.sleep(backoff)
+            self._queue.put_nowait(job)
 
     # ------------------------------------------------------------------
     # Lanes
     # ------------------------------------------------------------------
-    def _finish_serial(
-        self, job: _Job, reply: tuple, dispatched_at: float, wall_ms: float
-    ) -> None:
-        if reply[0] == "err":
-            self._fail(
-                job, RequestFailedError(f"request failed on worker:\n{reply[1]}")
-            )
-            return
-        _, perm, algorithm, n, regions, cost_seconds = reply
-        self._finish(
-            job,
-            _Computed(
-                perm=perm,
-                algorithm=algorithm,
-                n=n,
-                lane="serial",
-                compute_ms=wall_ms,
-                queue_ms=(dispatched_at - job.enqueued_at) * 1000.0,
-                cost_seconds=cost_seconds,
-                cost_regions=regions,
-                retries=job.retries,
-            ),
+    async def _run_serial(
+        self, job: _Job, worker: int, dispatched_at: float
+    ) -> _Computed:
+        """The serial lane: one request on one worker."""
+        payload = encode_request(job.matrix, self.config.scale)
+        t0 = time.perf_counter()
+        perm, algorithm, n, regions, cost_seconds = await asyncio.to_thread(
+            self._pool.call, worker, "service_rcm", payload
+        )
+        return _Computed(
+            perm=perm,
+            algorithm=algorithm,
+            n=n,
+            lane="serial",
+            compute_ms=(time.perf_counter() - t0) * 1000.0,
+            queue_ms=(dispatched_at - job.enqueued_at) * 1000.0,
+            cost_seconds=cost_seconds,
+            cost_regions=regions,
+            retries=job.retries,
         )
 
     def _run_distributed(self, job: _Job, dispatched_at: float) -> _Computed:
@@ -512,15 +489,17 @@ class ReorderingService:
         if not job.future.done():
             job.future.set_exception(exc)
 
-    async def _recover(self, jobs: list[_Job], exc: WorkerCrashError) -> None:
-        """A worker died or hung mid-batch: replace it, re-queue or fail.
+    async def _recover(self, job: _Job, exc: WorkerCrashError) -> float | None:
+        """A worker died or hung under ``job``: replace it, then retry or fail.
 
-        Re-queues back off exponentially (``retry_backoff_ms * 2**(n-1)``
-        before the n-th retry): after a repair, immediately re-dispatching
-        into whatever wedged the worker (host overload, a poisoned input)
-        tends to wedge the replacement too.  Deadline-caused failures
-        surface as 504-style :class:`RequestTimeoutError`; genuine
-        crashes keep :class:`RequestFailedError`.
+        Returns the backoff before the re-queue, or ``None`` when the
+        retries are exhausted and the job failed.  Re-queues back off
+        exponentially (``retry_backoff_ms * 2**(n-1)`` before the n-th
+        retry): after a repair, immediately re-dispatching into whatever
+        wedged the worker (host overload, a poisoned input) tends to
+        wedge the replacement too.  Deadline-caused failures surface as
+        504-style :class:`RequestTimeoutError`; genuine crashes keep
+        :class:`RequestFailedError`.
         """
         timeout = isinstance(exc, WorkerTimeoutError)
         self.stats.worker_crashes += 1
@@ -528,30 +507,20 @@ class ReorderingService:
             self.stats.timeouts += 1
         replaced = await asyncio.to_thread(self._pool.repair)
         self.stats.workers_replaced += len(replaced)
-        backoff = 0.0
-        for job in jobs:
-            job.retries += 1
-            if job.retries > self.config.max_retries:
-                kind = RequestTimeoutError if timeout else RequestFailedError
-                cause = "missed its deadline" if timeout else "crashed"
-                self._fail(
-                    job,
-                    kind(
-                        f"worker {cause} and retries exhausted "
-                        f"({self.config.max_retries}): {exc}"
-                    ),
-                )
-            else:
-                self.stats.retried += 1
-                backoff = max(
-                    backoff,
-                    self.config.retry_backoff_ms
-                    * (2 ** (job.retries - 1))
-                    / 1000.0,
-                )
-                self._queue.put_nowait(job)
-        if backoff > 0.0:
-            await asyncio.sleep(backoff)
+        job.retries += 1
+        if job.retries > self.config.max_retries:
+            kind = RequestTimeoutError if timeout else RequestFailedError
+            cause = "missed its deadline" if timeout else "crashed"
+            self._fail(
+                job,
+                kind(
+                    f"worker {cause} and retries exhausted "
+                    f"({self.config.max_retries}): {exc}"
+                ),
+            )
+            return None
+        self.stats.retried += 1
+        return self.config.retry_backoff_ms * (2 ** (job.retries - 1)) / 1000.0
 
 
 def _rcm_distributed():

@@ -164,11 +164,14 @@ def test_fault_sequence_is_reproducible(tmp_path):
         )
         async with ReorderingService(config) as svc:
             # armed *after* start: the service warm-up ping must not eat
-            # hits, so hit=2 lands on the dispatch's second message send
+            # hits; a request is one message send, so hit=2 lands on the
+            # dispatch of the second request
             faults.reset()
             faults.arm("worker.crash:hit=2")
+            await svc.submit(stencil_2d(17, 17))
             r = await svc.submit(A)
             assert np.array_equal(r.perm, EXPECT)
+            assert r.retries == 1  # the crash hit A's dispatch
             log = faults.events()
         faults.reset()
         return log

@@ -7,6 +7,9 @@ plus the zero-overhead-when-disarmed property the hot paths rely on.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro import faults
@@ -94,6 +97,41 @@ def test_points_count_independently():
     assert faults.fire("io.truncate") is not None  # its own counter
     assert faults.fire("worker.hang") is None  # hit 1 of 2
     assert faults.fire("worker.hang") is not None  # hit 2
+
+
+def test_concurrent_fires_count_every_hit():
+    # the pool sends from one thread per busy worker: no hit may be lost,
+    # or a hit=N spec fires on the wrong send or never
+    threads, per_thread = 8, 50_000
+    total = threads * per_thread
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(3):
+            faults.reset()
+            faults.arm(f"io.truncate:hit={total}")
+            start = threading.Barrier(threads)
+            fired = []
+
+            def hammer():
+                start.wait()
+                n = 0
+                for _ in range(per_thread):
+                    n += faults.fire("io.truncate") is not None
+                fired.append(n)
+
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in workers)
+            assert faults._HITS["io.truncate"] == total
+            assert sum(fired) == 1
+            assert faults.events() == [("io.truncate", total)]
+    finally:
+        sys.setswitchinterval(old)
+        faults.reset()
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,12 @@ def _read_object(state, payload):
     return state.objects[payload]
 
 
+@task("_test_sleep")
+def _sleep(state, payload):
+    time.sleep(payload)
+    return payload
+
+
 @pytest.fixture
 def pool():
     p = WorkerPool(2)
@@ -208,6 +214,44 @@ def test_repair_settles_survivor_replies_mid_exchange(pool):
     for _ in range(3):  # the protocol stays in sync across exchanges
         results, _, _ = pool.map_ranks("_test_double", [1, 2])
         assert results == [2, 4]
+
+
+def test_health_is_per_worker_and_repair_spares_busy_workers(pool):
+    import threading
+
+    victim, survivor = pool.pids
+    os.kill(victim, signal.SIGKILL)
+    deadline = time.time() + 5.0
+    with pytest.raises(WorkerCrashError):
+        while time.time() < deadline:  # the kill can race the first send
+            pool.call(0, "_test_double", 1)
+            time.sleep(0.05)
+    # only worker 0 is down: worker 1 keeps answering
+    assert pool.call(1, "_test_double", 21) == 42
+    with pytest.raises(WorkerCrashError):
+        pool.call(0, "_test_double", 1)
+    with pytest.raises(WorkerCrashError):
+        pool.map_ranks("_test_double", [1, 2])
+    # repair() while worker 1 is inside another thread's slow call
+    replies = []
+    slow = threading.Thread(
+        target=lambda: replies.append(pool.call(1, "_test_sleep", 1.0))
+    )
+    slow.start()
+    deadline = time.time() + 5.0
+    while 1 not in pool._busy and time.time() < deadline:  # on the wire
+        time.sleep(0.01)
+    assert pool.repair() == [0]
+    assert slow.is_alive()  # repair() did not wait for, or drain, worker 1
+    with pytest.raises(RuntimeError, match="busy"):
+        pool.call(1, "_test_double", 1)  # one exchange per worker at a time
+    slow.join(timeout=10)
+    assert not slow.is_alive() and replies == [1.0]  # the reply arrived intact
+    assert pool.pids[0] != victim and pool.pids[1] == survivor
+    assert pool.call(0, "_test_double", 2) == 4
+    assert pool.call(1, "_test_double", 3) == 6
+    results, _, _ = pool.map_ranks("_test_double", [1, 2, 3])
+    assert results == [2, 4, 6]
 
 
 def test_repair_refuses_closed_pool():

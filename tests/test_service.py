@@ -292,6 +292,27 @@ def test_invalid_submission_type_raises_synchronously():
     run(go())
 
 
+def test_small_request_does_not_wait_for_a_large_one():
+    # each serial request runs on its own idle worker and resolves when
+    # that worker replies, not when the slowest request sent with it does
+    from repro.matrices import road_mesh, stencil_2d
+
+    large, small = road_mesh(512, 512), stencil_2d(12, 12)
+
+    async def go():
+        async with ReorderingService(ServiceConfig(workers=2)) as svc:
+            big = asyncio.create_task(svc.submit(large))
+            little = asyncio.create_task(svc.submit(small))
+            done, _ = await asyncio.wait(
+                {big, little}, return_when=asyncio.FIRST_COMPLETED
+            )
+            assert done == {little} and not big.done()
+            assert np.array_equal(little.result().perm, rcm_serial(small).perm)
+            assert np.array_equal((await big).perm, rcm_serial(large).perm)
+
+    run(go())
+
+
 # ----------------------------------------------------------------------
 # Lifecycle: drain, stop, config validation
 # ----------------------------------------------------------------------
@@ -324,8 +345,6 @@ def test_start_twice_is_refused():
 def test_config_validation():
     with pytest.raises(ValueError):
         ReorderingService(ServiceConfig(max_pending=0))
-    with pytest.raises(ValueError):
-        ReorderingService(ServiceConfig(max_batch=0))
 
 
 def test_stats_dict_is_json_serializable():
@@ -414,6 +433,14 @@ def test_serve_cli_parser_defaults():
     assert args.disk_cache == "/tmp/dc"
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["--backend", "numpy"])  # no such flag
+    assert exc.value.code == 2
+
+
+def test_serve_cli_has_no_batch_knob():
+    from repro.service.serve import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-batch", "4"])  # requests are not batched
     assert exc.value.code == 2
 
 
