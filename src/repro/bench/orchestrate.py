@@ -5,22 +5,24 @@ ROADMAP item 5, fuzzbench-style: a campaign config (JSON or TOML — see
 x engines x directions; :func:`expand_runs` normalizes the
 cross product per experiment (knobs an experiment does not implement are
 dropped, then duplicate cells collapse) into a list of runs keyed by a
-content hash of their normalized parameters.  :func:`orchestrate` fans
-the runs out across a warmed :class:`repro.runtime.pool.WorkerPool`
-(the ``bench_run`` task), persists each run as a schema-versioned
-``ExperimentResult`` JSON under the results directory, and keeps a
-``manifest.json`` checkpoint after every wave — rerunning the same
-campaign skips completed runs entirely.
+content hash of their normalized parameters.  :func:`orchestrate` runs
+each pending run as one ``bench_run`` task on an idle worker of a
+:class:`repro.runtime.pool.WorkerPool` (:meth:`WorkerPool.call`, one
+driver thread per worker), persists each run as a schema-versioned
+``ExperimentResult`` JSON under the results directory, and checkpoints
+``manifest.json`` after every settled run — rerunning the same campaign
+skips completed runs entirely.
 
-Failure semantics (reusing the PR 8 machinery):
+Each run is settled when its own call returns:
 
-* A run that *raises* returns its traceback in-band from the worker, so
-  it cannot abort its ``map_ranks`` wave; the failure is deterministic,
-  so the run is marked failed immediately and the campaign continues.
+* A run that *raises* fails with its call's :class:`TaskError`, whose
+  traceback goes into the manifest; the failure is deterministic, so it
+  is not retried.
 * A run whose worker *crashes or hangs* (pool deadline) triggers
-  :meth:`WorkerPool.repair`; the wave's runs are re-dispatched one at a
-  time so only the poisoned run burns retries, until ``retries`` is
-  exhausted — a wedged run can fail, never sink the campaign.
+  :meth:`WorkerPool.repair`, which replaces that worker and leaves the
+  workers busy with other runs alone; only that run is re-queued, until
+  ``retries`` is exhausted — a wedged run can fail, never sink the
+  campaign or count against another run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import pathlib
 import time
 import traceback
 from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -164,23 +167,18 @@ def expand_runs(config: CampaignConfig) -> list[dict]:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def execute_run(payload) -> tuple:
-    """Run one campaign cell; report errors in-band (never raise).
+def execute_run(payload) -> tuple[dict, float]:
+    """Run one campaign cell: ``payload = (experiment, kwargs)``.
 
-    ``payload = (experiment, kwargs)``.  Returns
-    ``("ok", result_dict, seconds)`` or ``("err", traceback_text)``, so
-    one failing experiment cannot abort the rest of its wave through
-    :class:`TaskError`.
+    Returns ``(result_dict, seconds)``.  A failing experiment raises; on
+    a worker that reaches the driver as the call's :class:`TaskError`.
     """
+    from .api import run
+
     experiment, kwargs = payload
     t0 = time.perf_counter()
-    try:
-        from .api import run
-
-        result = run(experiment, **kwargs)
-        return ("ok", result.to_dict(), time.perf_counter() - t0)
-    except Exception:
-        return ("err", traceback.format_exc())
+    result = run(experiment, **kwargs)
+    return result.to_dict(), time.perf_counter() - t0
 
 
 # ----------------------------------------------------------------------
@@ -240,14 +238,6 @@ class CampaignOutcome:
         )
 
 
-def _resolve_workers(config: CampaignConfig, pending: int) -> int:
-    if config.workers is not None:
-        workers = config.workers
-    else:
-        workers = int(os.environ.get("REPRO_TEST_PROCS", "2") or 2)
-    return min(workers, pending) if workers else 0
-
-
 def orchestrate(
     config,
     out=None,
@@ -303,87 +293,79 @@ def orchestrate(
 
     executed = failed = 0
 
-    def finish(run: dict, reply: tuple) -> None:
-        nonlocal executed, failed
+    def finish(run: dict, doc: dict, seconds: float) -> None:
+        nonlocal executed
         entry = run["entry"]
-        if reply[0] == "ok":
-            _, doc, seconds = reply
-            _write_json(out_dir / entry["file"], doc)
-            entry["status"] = "done"
-            entry["seconds"] = seconds
-            entry["error"] = None
-            say(f"[{config.name}] done {entry['run_id']} ({seconds:.1f}s)")
-        else:
-            entry["status"] = "failed"
-            entry["error"] = reply[1]
-            failed += 1
-            last = reply[1].strip().splitlines()[-1] if reply[1].strip() else "?"
-            say(f"[{config.name}] FAILED {entry['run_id']}: {last}")
+        _write_json(out_dir / entry["file"], doc)
+        entry.update(status="done", seconds=seconds, error=None)
         executed += 1
+        say(f"[{config.name}] done {entry['run_id']} ({seconds:.1f}s)")
 
-    def fail_crashed(run: dict, exc: Exception) -> None:
+    def fail(run: dict, error: str) -> None:
         nonlocal executed, failed
         entry = run["entry"]
-        entry["status"] = "failed"
-        entry["error"] = (
-            f"worker crashed or hung {entry['attempts']} time(s); "
-            f"retry bound reached: {exc}"
-        )
+        entry.update(status="failed", error=error)
+        executed += 1
         failed += 1
-        executed += 1
-        say(f"[{config.name}] FAILED {entry['run_id']}: {entry['error']}")
+        last = error.strip().splitlines()[-1] if error.strip() else "?"
+        say(f"[{config.name}] FAILED {entry['run_id']}: {last}")
 
-    if pending:
-        payload = lambda run: (run["experiment"], run["kwargs"])  # noqa: E731
-        nworkers = _resolve_workers(config, len(pending))
-        if nworkers == 0:
-            # inline mode: no crash isolation, but no fork either —
-            # the debug/test path (and the only path inside a worker)
-            for run in pending:
-                run["entry"]["attempts"] += 1
-                finish(run, execute_run(payload(run)))
-                _write_json(manifest_path, manifest)
-        else:
-            from ..runtime.pool import WorkerCrashError, WorkerPool
+    payload = lambda run: (run["experiment"], run["kwargs"])  # noqa: E731
+    nworkers = min(config.workers, len(pending))
+    if nworkers == 0:
+        # inline mode: no crash isolation, but no fork either —
+        # the debug/test path (and the only path inside a worker)
+        for run in pending:
+            run["entry"]["attempts"] += 1
+            try:
+                doc, seconds = execute_run(payload(run))
+            except Exception:
+                fail(run, traceback.format_exc())
+            else:
+                finish(run, doc, seconds)
+            _write_json(manifest_path, manifest)
+    else:
+        from ..runtime.pool import TaskError, WorkerCrashError, WorkerPool
 
+        with ThreadPoolExecutor(nworkers) as threads:
             pool = WorkerPool(nworkers, deadline=config.deadline_seconds)
             try:
-                queue = deque(pending)
-                isolate = False
-                while queue:
-                    width = 1 if isolate else pool.nworkers
-                    wave = [
-                        queue.popleft() for _ in range(min(width, len(queue)))
-                    ]
-                    for run in wave:
+                queue, idle, running = deque(pending), list(range(nworkers)), {}
+                while queue or running:
+                    while queue and idle:
+                        run, worker = queue.popleft(), idle.pop()
                         run["entry"]["attempts"] += 1
-                    try:
-                        replies, _, _ = pool.map_ranks(
-                            "bench_run", [payload(r) for r in wave]
-                        )
-                    except WorkerCrashError as exc:
-                        pool.repair()
-                        # can't tell which run of the wave poisoned the
-                        # worker: re-dispatch them one at a time so only
-                        # the guilty one keeps burning retries
-                        isolate = True
-                        for run in reversed(wave):
-                            if run["entry"]["attempts"] >= 1 + config.retries:
-                                fail_crashed(run, exc)
-                            else:
+                        call = threads.submit(pool.call, worker, "bench_run", payload(run))
+                        running[call] = (run, worker)
+                    settled, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for call in settled:
+                        run, worker = running.pop(call)
+                        idle.append(worker)
+                        try:
+                            doc, seconds = call.result()
+                        except TaskError as exc:
+                            fail(run, str(exc))
+                        except WorkerCrashError as exc:
+                            pool.repair()
+                            attempts = run["entry"]["attempts"]
+                            if attempts <= config.retries:
                                 say(
-                                    f"[{config.name}] retry "
-                                    f"{run['entry']['run_id']} after worker "
-                                    f"crash/hang ({exc})"
+                                    f"[{config.name}] retry {run['run_id']} "
+                                    f"after worker crash/hang ({exc})"
                                 )
                                 queue.appendleft(run)
+                            else:
+                                fail(
+                                    run,
+                                    f"worker crashed or hung {attempts} "
+                                    f"time(s); retry bound reached: {exc}",
+                                )
+                        else:
+                            finish(run, doc, seconds)
                         _write_json(manifest_path, manifest)
-                        continue
-                    isolate = False
-                    for run, reply in zip(wave, replies):
-                        finish(run, reply)
-                    _write_json(manifest_path, manifest)
             finally:
+                # before the threads join: a thread still waiting on a
+                # worker sees it exit instead of blocking the join
                 pool.close()
 
     _write_json(manifest_path, manifest)

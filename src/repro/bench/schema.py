@@ -284,11 +284,12 @@ class CampaignConfig:
     ``matrices`` entries are paper-suite names, or ``zoo:<name>`` specs
     for the ``ingest`` experiment.  ``None`` axis entries mean "the
     experiment's default" (full/quick suite, push).
-    ``workers`` is the campaign worker-pool size: ``None`` reads
-    ``REPRO_TEST_PROCS`` (default 2), ``0`` runs inline in the driver
-    (no crash isolation — test/debug mode).  ``retries`` bounds how
-    often a *crashed or hung* run is re-dispatched after pool repair;
-    an ordinary in-run exception is deterministic and fails immediately.
+    ``workers`` is the campaign worker-pool size (default 2): each
+    worker runs one experiment at a time, and ``0`` runs inline in the
+    driver (no crash isolation — test/debug mode).  ``retries`` bounds
+    how often a *crashed or hung* run is re-dispatched after pool
+    repair; an ordinary in-run exception is deterministic and fails
+    immediately.
     """
 
     experiments: list[str]
@@ -299,7 +300,7 @@ class CampaignConfig:
     scale: float = 1.0
     quick: bool = False
     procs: int | None = None
-    workers: int | None = None
+    workers: int = 2
     retries: int = 1
     deadline_seconds: float | None = 600.0
     out: str | None = None
@@ -386,7 +387,7 @@ class CampaignConfig:
             raise SchemaError(f"campaign scale must be > 0, got {self.scale}")
         if self.procs is not None and self.procs < 1:
             raise SchemaError(f"campaign procs must be >= 1, got {self.procs}")
-        if self.workers is not None and self.workers < 0:
+        if self.workers is None or self.workers < 0:
             raise SchemaError(
                 f"campaign workers must be >= 0, got {self.workers}"
             )

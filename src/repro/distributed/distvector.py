@@ -93,9 +93,6 @@ class DistDenseVector:
         """Assemble the full vector (test/inspection helper; no charge)."""
         return self.data.copy()
 
-    def owner_offset(self, rank: int) -> int:
-        return int(self.offs[rank])
-
     def get(self, index: int) -> float:
         """Value at a global index (local lookup on the owning rank)."""
         return float(self.data[index])

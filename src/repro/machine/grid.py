@@ -126,9 +126,6 @@ class ProcessGrid:
     # Vector distribution (CombBLAS style): a length-n vector is split into
     # `size` contiguous segments, segment k owned by rank k.
     # ------------------------------------------------------------------
-    def vector_range(self, n: int, rank: int) -> tuple[int, int]:
-        return block_range(n, self.size, rank)
-
     def vector_owner(self, n: int, index: int) -> int:
         return block_owner(n, self.size, index)
 

@@ -6,23 +6,26 @@ time and full dispatch wall time) to its callers.
 
 A :class:`WorkerPool` forks ``nworkers`` long-lived processes, each
 running :func:`repro.runtime.worker.worker_main` over a private duplex
-pipe.  Simulated ranks map onto workers in contiguous chunks
-(:meth:`assign`), the same mapping used to scatter rank-resident objects
-(matrix blocks), so a rank's state and its supersteps always land on the
-same worker.
+pipe.  Every pool forks, so its workers inherit every task registered
+before the pool was built (tests register their own).  Simulated ranks
+map onto workers in contiguous chunks (:meth:`assign`), the same mapping
+used to scatter rank-resident objects (matrix blocks), so a rank's state
+and its supersteps always land on the same worker.
 
 :meth:`map_ranks` and the other supersteps address every worker and
 return when all have replied, the barrier the BSP ledger assumes;
 :meth:`call` runs one task on one worker, so threads can keep disjoint
-workers busy with independent requests (the service's serial lane).
+workers busy with independent work (the service's serial lane, the
+campaign orchestrator's runs).
 
 Failure model: a worker that dies (killed, OOM, segfault) surfaces as
 :class:`WorkerCrashError` on the next dispatch; a worker that *hangs* —
 wedged in a syscall, spinning, or silently dropping its reply — is
-detected by the per-exchange **deadline** (``conn``-level ``wait`` with
-a timeout instead of a blocking ``recv``), SIGKILLed, and surfaced as
-:class:`WorkerTimeoutError` (a :class:`WorkerCrashError` subclass, so
-every existing recovery path treats it as a retriable crash); a task
+detected by the pool-wide per-exchange **deadline** (``conn``-level
+``wait`` with a timeout instead of a blocking ``recv``), SIGKILLed, and
+surfaced as :class:`WorkerTimeoutError` (a :class:`WorkerCrashError`
+subclass, so every existing recovery path treats it as a retriable
+crash); a task
 that merely raises surfaces as :class:`TaskError` carrying *every*
 failed worker's traceback while the workers — and the pool — stay
 usable.  Health is per worker: one that died, was declared wedged or
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-import os
 import threading
 import time
 import weakref
@@ -52,10 +54,6 @@ from .shm import Arena
 from .worker import worker_main
 
 __all__ = ["WorkerPool", "WorkerCrashError", "WorkerTimeoutError", "TaskError"]
-
-#: Sentinel distinguishing "use the pool default deadline" from an
-#: explicit ``deadline=None`` (wait forever) on a single call.
-_UNSET = object()
 
 
 class WorkerCrashError(RuntimeError):
@@ -85,22 +83,14 @@ def _close_leaked_pools() -> None:  # pragma: no cover - interpreter teardown
 class WorkerPool:
     """A fixed set of worker processes executing named tasks."""
 
-    def __init__(
-        self,
-        nworkers: int,
-        start_method: str | None = None,
-        deadline: float | None = None,
-    ) -> None:
-        """``deadline`` is the default per-exchange reply deadline in
-        seconds (``None`` waits forever — the historical behavior).
-        Every dispatch can override it per call."""
+    def __init__(self, nworkers: int, deadline: float | None = None) -> None:
+        """``deadline`` bounds every exchange's reply wait, in seconds
+        (``None`` waits forever)."""
         if nworkers < 1:
             raise ValueError("need at least one worker")
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
         self.deadline = deadline
-        method = start_method or os.environ.get("REPRO_START_METHOD", "fork")
-        ctx = mp.get_context(method)
         # Start the shared-memory resource tracker *before* forking, so every
         # worker inherits the one tracker instead of lazily spawning its own.
         # A private per-worker tracker would try to "clean up" (unlink!) the
@@ -109,7 +99,7 @@ class WorkerPool:
 
         resource_tracker.ensure_running()
         self.nworkers = nworkers
-        self._mp_ctx = ctx
+        self._mp_ctx = mp.get_context("fork")
         self._procs = []
         self._conns = []
         self._closed = False
@@ -188,7 +178,7 @@ class WorkerPool:
             f"(exitcode {proc.exitcode}): {cause!r}"
         )
 
-    def _wedged(self, waiting: set[int], deadline: float) -> WorkerTimeoutError:
+    def _wedged(self, waiting: set[int]) -> WorkerTimeoutError:
         """Declare every still-unanswered worker wedged: SIGKILL them and
         build the timeout error.  The killed workers still owe replies —
         :meth:`repair` settles them (their pipes now read EOF) exactly like
@@ -199,7 +189,7 @@ class WorkerPool:
             details.append(f"worker {w} (pid {proc.pid})")
             proc.kill()
         return WorkerTimeoutError(
-            f"deadline ({deadline:.3g}s) exceeded waiting for "
+            f"deadline ({self.deadline:.3g}s) exceeded waiting for "
             f"{', '.join(details)}; wedged workers were SIGKILLed — "
             f"repair() replaces them in place"
         )
@@ -217,23 +207,19 @@ class WorkerPool:
             return ("fault", "crash", spec.seed)
         return msg
 
-    def _exchange(
-        self, messages: dict[int, tuple], deadline: float | None | object = _UNSET
-    ) -> dict[int, tuple[float, Any]]:
+    def _exchange(self, messages: dict[int, tuple]) -> dict[int, tuple[float, Any]]:
         """Send one message per worker, collect one reply per worker.
 
         Replies are collected through a ``wait``/``poll`` loop bounded by
-        ``deadline`` seconds (the pool default unless overridden): a
-        worker that has not answered when it expires is SIGKILLed and the
-        whole exchange raises :class:`WorkerTimeoutError`.  Returns
+        the pool's ``deadline``: a worker that has not answered when it
+        expires is SIGKILLed and the whole exchange raises
+        :class:`WorkerTimeoutError`.  Returns
         ``{worker: (elapsed_seconds, results)}``; raises
         :class:`WorkerCrashError` if any addressed worker is gone and
         :class:`TaskError` — aggregating *every* failed worker's remote
         traceback — if any task raised.
         """
         self._claim(messages)
-        if deadline is _UNSET:
-            deadline = self.deadline
         conns = {w: self._conns[w] for w in messages}
         conn_owner = {id(conn): w for w, conn in conns.items()}
         waiting: set[int] = set()
@@ -251,7 +237,7 @@ class WorkerPool:
                 except (BrokenPipeError, OSError) as exc:
                     raise self._crash(w, exc) from exc
             deadline_at = (
-                None if deadline is None else time.monotonic() + float(deadline)
+                None if self.deadline is None else time.monotonic() + self.deadline
             )
             while waiting:
                 timeout = None
@@ -259,7 +245,7 @@ class WorkerPool:
                     timeout = max(deadline_at - time.monotonic(), 0.0)
                 ready = _wait_ready([conns[w] for w in waiting], timeout)
                 if not ready:
-                    raise self._wedged(waiting, float(deadline))
+                    raise self._wedged(waiting)
                 for conn in ready:
                     w = conn_owner[id(conn)]
                     try:
@@ -294,17 +280,13 @@ class WorkerPool:
         return replies
 
     def map_ranks(
-        self,
-        name: str,
-        payloads: Sequence[Any],
-        deadline: float | None | object = _UNSET,
+        self, name: str, payloads: Sequence[Any]
     ) -> tuple[list[Any], float, float]:
         """Run task ``name`` once per rank payload, on the ranks' workers.
 
         Every worker receives a message (possibly with an empty payload
         list), making each call a full synchronization point — the BSP
-        superstep semantics the modeled ledger assumes.  ``deadline``
-        bounds the reply wait (pool default unless given).  Returns
+        superstep semantics the modeled ledger assumes.  Returns
         ``(results_in_rank_order, max_worker_seconds, wall_seconds)``.
         """
         t0 = time.perf_counter()
@@ -313,8 +295,7 @@ class WorkerPool:
         for rank, payload in enumerate(payloads):
             per_worker[owner[rank]].append(payload)
         replies = self._exchange(
-            {w: ("map", name, items) for w, items in per_worker.items()},
-            deadline=deadline,
+            {w: ("map", name, items) for w, items in per_worker.items()}
         )
         wall = time.perf_counter() - t0
         worker_secs = max(elapsed for elapsed, _ in replies.values())

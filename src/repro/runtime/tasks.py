@@ -170,9 +170,7 @@ def _service_rcm(state: RuntimeState, payload) -> tuple:
     The service's serial lane: payloads come from
     :func:`repro.service.requests.encode_request`, one request per
     :meth:`~repro.runtime.pool.WorkerPool.call`, so a request that raises
-    fails as its own call's ``TaskError``.  Registered here — not in
-    :mod:`repro.service` — so the task exists in workers under any start
-    method, not only the fork-inherited registry.
+    fails as its own call's ``TaskError``.
     """
     from ..service.requests import execute_request
 
@@ -185,10 +183,9 @@ def _bench_run(state: RuntimeState, payload) -> tuple:
 
     The campaign orchestrator's executor: payloads come from
     :func:`repro.bench.orchestrate.expand_runs` as ``(experiment,
-    kwargs)`` and errors return in-band (``("err",
-    traceback)``) so one failing experiment cannot abort its
-    ``map_ranks`` wave — only a worker crash/hang reaches the pool's
-    repair path.
+    kwargs)``, one run per :meth:`~repro.runtime.pool.WorkerPool.call`,
+    and the reply is ``(result_dict, seconds)``; a run that raises fails
+    as its own call's ``TaskError``.
     """
     from ..bench.orchestrate import execute_run
 

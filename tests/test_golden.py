@@ -8,8 +8,11 @@ library actually outputs.  Orderings are pinned as the blake2b-128
 digest of the int64 permutation bytes, the same digest ``perfbench``
 pins for its road and rmat workloads; the compressed layouts one
 matrix is stored in (its CSR and its p=16 CSC blocks) are pinned the
-same way, array by array.  Modeled ledgers are pinned exactly, per
-Fig. 4 region, for ``rcm_distributed`` at p=16.
+same way, array by array.  On the zoo inputs the pseudo-peripheral
+search is pinned too (roots, levels per component, sweep count, for
+``rcm()`` and ``rcm(A, nprocs=16)``), with the ordering's bandwidth and
+profile.  Modeled ledgers are pinned exactly, per Fig. 4 region, for
+``rcm_distributed`` at p=16.
 
 Regenerate a pin only for a deliberate change of the ordering, the
 storage layout or the cost model.
@@ -22,7 +25,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import rcm
+from repro import bandwidth_of_permutation, profile_of_permutation, rcm
 from repro.distributed import DistContext, DistSparseMatrix
 from repro.distributed.rcm import rcm_distributed
 from repro.machine import ProcessGrid
@@ -56,10 +59,37 @@ def _disconnected_with_isolated():
     )
 
 
+#: ``rcm(A)`` on each zoo input: (build, permutation digest, roots
+#: digest, levels-per-component digest, pseudo-peripheral BFS sweeps,
+#: bandwidth, profile).  Roots and levels are digested as int64 arrays.
 ZOO_DIGESTS = {
-    "rmat12": (lambda: rmat(12, seed=7), "97f0f0dcf96ddf96e647f6d31b5220ac"),
-    "road256": (lambda: road_mesh(256, 256, seed=3), "d73137aed90992b28dd727a65c9814de"),
-    "disconnected": (_disconnected_with_isolated, "eaa8e3ea667306943564cc42a7fb1028"),
+    "rmat12": (
+        lambda: rmat(12, seed=7),
+        "97f0f0dcf96ddf96e647f6d31b5220ac",
+        "77d3c0c3477a72e1eb9a6ea07a15ae0f",
+        "810f6aee907b2bffd2f031c1599d08e1",
+        1152,
+        2275,
+        1685046,
+    ),
+    "road256": (
+        lambda: road_mesh(256, 256, seed=3),
+        "d73137aed90992b28dd727a65c9814de",
+        "74512d78b1adf3a9e20f21a5d1812d74",
+        "82aaa78e2f711fa68ff8943b772a1326",
+        4,
+        631,
+        16625144,
+    ),
+    "disconnected": (
+        _disconnected_with_isolated,
+        "eaa8e3ea667306943564cc42a7fb1028",
+        "07b8835ed881ec29ae3015bce7c7c685",
+        "3337eeffc164f44f41ef05ba167633c4",
+        43,
+        168,
+        9912,
+    ),
 }
 
 
@@ -83,10 +113,27 @@ def test_suite_golden(name):
     assert perm_digest(rcm(A, nprocs=4).perm) == SUITE_DIGESTS[name]
 
 
+def search_digests(ordering) -> tuple[str, str, int]:
+    """The roots and levels-per-component digests and the sweep count."""
+    return (
+        array_digest(np.asarray(ordering.roots, dtype=np.int64)),
+        array_digest(np.asarray(ordering.levels_per_component, dtype=np.int64)),
+        ordering.peripheral_bfs_count,
+    )
+
+
 @pytest.mark.parametrize("name", sorted(ZOO_DIGESTS))
 def test_zoo_golden(name):
-    build, digest = ZOO_DIGESTS[name]
-    assert perm_digest(rcm(build()).perm) == digest
+    build, digest, roots, levels, sweeps, bandwidth, profile = ZOO_DIGESTS[name]
+    A = build()
+    ordering = rcm(A)
+    assert perm_digest(ordering.perm) == digest
+    assert search_digests(ordering) == (roots, levels, sweeps)
+    assert bandwidth_of_permutation(A, ordering.perm) == bandwidth
+    assert profile_of_permutation(A, ordering.perm) == profile
+    dist = rcm(A, nprocs=16)
+    assert perm_digest(dist.perm) == digest
+    assert search_digests(dist) == (roots, levels, sweeps)
 
 
 #: Digests of ``(indptr, indices, data)`` of ``rmat(12, seed=7)`` as CSR
@@ -211,7 +258,9 @@ FIG4_REGIONS = (
 #: messages, words, operations).  The road and rmat runs cover push
 #: supersteps and the bucket sort; the adaptive li7nmax6 run covers pull
 #: supersteps, the mask Allgather and the degree-sum Allreduces; the
-#: serena run covers the samplesort.
+#: serena run covers the samplesort; the disconnected run covers one
+#: pseudo-peripheral search and ordering sweep per component, isolated
+#: vertices included.
 LEDGER_PINS = {
     "road256": (
         lambda: road_mesh(256, 256, seed=3),
@@ -255,6 +304,17 @@ LEDGER_PINS = {
             (3.348124999999998e-05, 0.0007090479999999998, 3680, 25156, 18668),
             (1.5864457154288277e-05, 0.005147015999999998, 27360, 98433, 17003),
             (7.646874999999996e-06, 0.000552736, 2944, 5888, 9717),
+        ),
+    ),
+    "disconnected": (
+        _disconnected_with_isolated,
+        {},
+        (
+            (5.946875000000004e-06, 0.0013533499999999958, 7200, 10166, 10751),
+            (4.368750000000012e-06, 0.0020680639999999936, 11008, 32512, 14719),
+            (2.228125000000001e-06, 0.0009162739999999993, 4880, 3674, 3683),
+            (3.1439068238461465e-06, 0.002245969999999999, 11968, 6580, 780),
+            (8.343749999999994e-07, 0.000732976, 3904, 7808, 1074),
         ),
     ),
 }

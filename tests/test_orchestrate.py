@@ -1,6 +1,7 @@
 """Campaign orchestration: config validation, expansion, resume, faults."""
 
 import json
+import time
 
 import pytest
 
@@ -210,9 +211,51 @@ def test_inband_failure_cannot_abort_the_campaign(tmp_path, monkeypatch):
     assert "poisoned input ldoor" in failed[0]["error"]
 
 
+def test_raising_run_fails_alone_on_pooled_workers(tmp_path, monkeypatch):
+    monkeypatch.setitem(
+        harness.EXPERIMENTS, "fig3", _stub_factory(fail_names=("ldoor",))
+    )
+    outcome = orchestrate(
+        _config(matrices=["nd24k", "ldoor"], workers=2, deadline_seconds=30),
+        out=tmp_path,
+    )
+    assert outcome.executed == 2 and outcome.failed == 1
+    by_matrix = {
+        e["params"]["names"][0]: e for e in outcome.manifest["runs"].values()
+    }
+    assert by_matrix["nd24k"]["status"] == "done"
+    assert by_matrix["ldoor"]["status"] == "failed"
+    assert "poisoned input ldoor" in by_matrix["ldoor"]["error"]
+
+
 # ----------------------------------------------------------------------
 # Crash/hang injection on the pooled path (repro.faults, PR 8 machinery)
 # ----------------------------------------------------------------------
+@pytest.mark.faults
+@pytest.mark.parametrize("retries", [0, 1])
+@pytest.mark.parametrize(
+    "spec, deadline", [("worker.crash:hit=1", 30), ("worker.hang:hit=1", 3)]
+)
+def test_crash_or_hang_counts_against_its_own_run_only(
+    tmp_path, monkeypatch, spec, deadline, retries
+):
+    monkeypatch.setitem(harness.EXPERIMENTS, "fig3", _stub_factory())
+    faults.arm(spec)
+    outcome = orchestrate(
+        _config(
+            matrices=["nd24k", "ldoor"],
+            workers=2,
+            retries=retries,
+            deadline_seconds=deadline,
+        ),
+        out=tmp_path,
+    )
+    # which run takes hit 1 depends on which thread sends first
+    settled = sorted((e["status"], e["attempts"]) for e in outcome.manifest["runs"].values())
+    hit = ("failed", 1) if retries == 0 else ("done", 2)
+    assert settled == sorted([hit, ("done", 1)])
+
+
 @pytest.mark.faults
 def test_crashed_run_is_retried_after_pool_repair(tmp_path, monkeypatch):
     monkeypatch.setitem(harness.EXPERIMENTS, "fig3", _stub_factory())
@@ -254,6 +297,31 @@ def test_hung_run_hits_the_deadline_and_is_retried(tmp_path, monkeypatch):
     assert outcome.failed == 0
     (entry,) = outcome.manifest["runs"].values()
     assert entry["attempts"] == 2
+
+
+def test_driver_error_closes_the_pool_before_joining_its_threads(tmp_path, monkeypatch):
+    stub = _stub_factory()
+
+    def slow_on_ldoor(scale=1.0, quick=False, names=None):
+        if names[0] == "ldoor":
+            time.sleep(30)
+        return stub(scale, quick, names)
+
+    def echo(line):
+        if " done " in line:
+            raise BrokenPipeError("stdout closed")
+
+    monkeypatch.setitem(harness.EXPERIMENTS, "fig3", slow_on_ldoor)
+    t0 = time.monotonic()
+    with pytest.raises(BrokenPipeError):
+        orchestrate(
+            _config(matrices=["nd24k", "ldoor"], workers=2, deadline_seconds=None),
+            out=tmp_path,
+            echo=echo,
+        )
+    # nd24k's echo raised while ldoor's worker was busy: closing the pool
+    # ends that call, so the thread pool's join does not wait out the run
+    assert time.monotonic() - t0 < 15
 
 
 def test_pooled_campaign_runs_real_experiment(tmp_path):

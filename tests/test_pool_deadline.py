@@ -104,23 +104,6 @@ def test_injected_crash_rides_the_crash_path(pool):
     assert results == [7]
 
 
-def test_per_call_deadline_overrides_pool_default():
-    with WorkerPool(2) as pool:  # no default deadline
-        faults.arm("worker.hang:hit=1")
-        with pytest.raises(WorkerTimeoutError, match="0.5"):
-            pool.map_ranks("_test_deadline_echo", [1, 2], deadline=0.5)
-        pool.repair()
-        results, _, _ = pool.map_ranks("_test_deadline_echo", [1])
-        assert results == [1]
-
-
-def test_deadline_none_waits_out_slow_tasks(pool):
-    # a deadline must bound *hangs*, not honest slow work: an explicit
-    # None opts a single dispatch out of the pool default
-    results, _, _ = pool.map_ranks("_test_deadline_echo", [1], deadline=None)
-    assert results == [1]
-
-
 def test_deterministic_hit_selection():
     # hit=3 targets the third message *send*: the first exchange (one
     # send per worker = hits 1-2) is untouched, the second exchange's
