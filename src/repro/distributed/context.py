@@ -236,29 +236,6 @@ class DistContext:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def warm(self) -> None:
-        """Prime the engine for steady-state latency.
-
-        On the processes engine, one empty worker round trip pays the
-        cold-start costs (page faults, pipe buffers, attach caches)
-        outside any measured or client-visible window — long-lived
-        callers (the reordering service, the calibration bench) warm
-        once and serve many.  No-op on the simulated engine.
-        """
-        if self.pool is not None:
-            self.pool.ping()
-
-    def fork_ledger(self) -> "DistContext":
-        """Same grid/machine/engine, fresh ledgers (per-experiment runs)."""
-        return DistContext(
-            self.grid,
-            self.machine,
-            CostLedger(),
-            engine=self.engine_name,
-            pool=self.pool,
-            rank_vectorized=self.rank_vectorized,
-        )
-
     def close(self) -> None:
         """Shut down a context-owned worker pool (no-op otherwise)."""
         if self._owns_pool and self.pool is not None:

@@ -165,12 +165,15 @@ def _lexsort3(state: RuntimeState, block: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 @task("service_rcm")
 def _service_rcm(state: RuntimeState, payload) -> tuple:
-    """One full reordering request (build + serial RCM) on a worker.
+    """One full reordering request (build + RCM) on a worker.
 
-    The service's serial lane: payloads come from
+    The service's executor on both lanes: payloads come from
     :func:`repro.service.requests.encode_request`, one request per
     :meth:`~repro.runtime.pool.WorkerPool.call`, so a request that raises
-    fails as its own call's ``TaskError``.
+    fails as its own call's ``TaskError``.  A request with ``nprocs``
+    runs ``rcm_distributed`` on the simulated machine inside this
+    worker, as ``repro.rcm(A, nprocs=k)`` does; the serial one runs
+    ``rcm_serial``.
     """
     from ..service.requests import execute_request
 

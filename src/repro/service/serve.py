@@ -10,7 +10,7 @@ Request fields::
     {"id": 7,                      # echoed back verbatim (optional)
      "matrix": "zoo:rmat14",       # spec string: zoo entry or suite name
      "mm": "%%MatrixMarket ...",   # OR an inline Matrix Market document
-     "nprocs": 4}                  # optional: distributed lane
+     "nprocs": 4}                  # optional: distributed lane, square grid
 
 Response fields::
 
@@ -20,7 +20,8 @@ Response fields::
 
     {"id": 7, "ok": false, "status": 429, "error": "admission control: ..."}
 
-Errors map to HTTP-flavored status codes: 400 malformed request, 413
+Errors map to HTTP-flavored status codes: 400 malformed request (an
+``nprocs`` that is not a positive perfect-square integer included), 413
 oversized request line, 429 admission-control rejection, 500 failed
 computation, 503 draining, 504 deadline exhausted (a worker hung past
 ``--deadline`` on every retry).  A ``{"stats": true}`` request returns
@@ -42,6 +43,7 @@ import json
 import signal
 import sys
 
+from .requests import check_nprocs
 from .server import (
     ReorderingService,
     ServiceClient,
@@ -82,8 +84,7 @@ async def _handle_request(client: ServiceClient, req: dict) -> dict:
     try:
         matrix = _parse_matrix(req)
         nprocs = req.get("nprocs")
-        if nprocs is not None:
-            nprocs = int(nprocs)
+        check_nprocs(nprocs)
     except (ValueError, TypeError, KeyError) as exc:
         return {"id": rid, "ok": False, "status": 400, "error": str(exc)}
     try:
@@ -243,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-dispatch worker reply deadline; a worker that misses it "
-            "is SIGKILLed and replaced, the request retries with backoff "
-            "and fails 504-style at the retry bound (default: no deadline)"
+            "reply deadline of one request attempt, on either lane; a "
+            "worker that misses it is SIGKILLed and replaced, the request "
+            "retries with backoff and fails 504-style at the retry bound "
+            "(default: no deadline)"
         ),
     )
     parser.add_argument(

@@ -2,13 +2,13 @@
 
 The paper's pipeline as a long-lived service (ROADMAP item 3): clients
 submit matrices (or ``zoo:``/suite spec strings) through an asyncio
-front-end, and a scheduler hands each request, in arrival order, to a
-warmed :class:`~repro.runtime.pool.WorkerPool` — one idle worker per
-serial-lane request, resolved as soon as that worker replies, or every
-worker for an ``nprocs=`` request, whose distributed supersteps run on a
-warmed shared :class:`~repro.distributed.context.DistContext`.
-Orderings are bit-identical to direct :func:`repro.rcm` calls; the
-service adds *serving* semantics:
+front-end, and a scheduler hands each request, in arrival order, to one
+idle worker of a warmed :class:`~repro.runtime.pool.WorkerPool`; the
+request resolves as soon as that worker replies.  A request with
+``nprocs=`` runs the distributed algorithm on that worker, on the
+simulated machine, as ``repro.rcm(A, nprocs=k)`` does.  Orderings are
+bit-identical to direct :func:`repro.rcm` calls; the service adds
+*serving* semantics:
 
 * **content-addressed caching** — results are keyed by the matrix
   content-hash (:mod:`repro.service.hashing`) in a bounded LRU
@@ -56,7 +56,7 @@ import numpy as np
 from ..runtime.pool import WorkerCrashError, WorkerPool, WorkerTimeoutError
 from .cache import DiskResultCache, ResultCache
 from .hashing import request_key
-from .requests import encode_request
+from .requests import check_nprocs, encode_request
 
 __all__ = [
     "ServiceConfig",
@@ -110,8 +110,8 @@ class RequestTimeoutError(RequestFailedError):
 class ServiceConfig:
     """Knobs of one service instance."""
 
-    #: worker processes in the pool (the serial lane runs one request
-    #: per idle worker; a distributed request takes them all)
+    #: worker processes in the pool; each request, serial or
+    #: distributed, runs on one idle worker
     workers: int = 2
     #: admission bound: unique jobs queued or running before 429s
     max_pending: int = 32
@@ -121,11 +121,12 @@ class ServiceConfig:
     cache_capacity: int = 256
     #: scale forwarded to suite-name spec builds
     scale: float = 1.0
-    #: per-dispatch reply deadline in seconds (None = wait forever): a
-    #: worker that misses it is declared wedged, SIGKILLed and replaced;
-    #: the interrupted request retries up to ``max_retries`` times, so a
-    #: request's worst-case wall is ~``(max_retries + 1) * deadline``
-    #: plus the backoff sleeps
+    #: reply deadline of one request attempt in seconds (None = wait
+    #: forever); an attempt, serial or distributed, is one worker call,
+    #: so the deadline bounds all of it.  A worker that misses it is
+    #: declared wedged, SIGKILLed and replaced; the interrupted request
+    #: retries up to ``max_retries`` times, so a request's worst-case
+    #: wall is ~``(max_retries + 1) * deadline`` plus the backoff sleeps
     deadline: float | None = None
     #: base of the bounded exponential backoff between a crash/timeout
     #: repair and the re-queue of the interrupted request
@@ -192,7 +193,10 @@ class ServiceResult:
     compute_ms: float  #: execution wall of the computation
     latency_ms: float  #: this submission's submit -> resolve wall
     cost_seconds: float  #: accounted cost (measured or modeled)
-    cost_regions: dict[str, float]  #: CostLedger breakdown by region
+    #: CostLedger breakdown by region, plain floats: measured
+    #: ``service:build``/``service:rcm`` seconds (serial) or the modeled
+    #: Fig. 4 regions of ``rcm_distributed(A, nprocs=k)`` (distributed)
+    cost_regions: dict[str, float]
 
 
 class _Job:
@@ -232,7 +236,6 @@ class ReorderingService:
         #: the running jobs (the loop holds tasks only weakly)
         self._running: set[asyncio.Task] = set()
         self._inflight: dict[str, _Job] = {}
-        self._dist_ctxs: dict[int, Any] = {}
         self._scheduler_task: asyncio.Task | None = None
         self._accepting = False
         self._started = False
@@ -276,7 +279,6 @@ class ReorderingService:
             await self._scheduler_task
         await asyncio.gather(*self._running)
         pool, self._pool = self._pool, None
-        self._dist_ctxs.clear()
         if pool is not None:
             await asyncio.to_thread(pool.close)
         self._started = False
@@ -296,14 +298,18 @@ class ReorderingService:
         Resolves to a :class:`ServiceResult` whose ``perm`` is
         bit-identical to ``repro.rcm(matrix)`` (serial lane) or
         ``repro.rcm(matrix, nprocs=nprocs)`` (distributed lane).
-        Raises :class:`ServiceOverloadedError` when admission control
-        rejects, :class:`ServiceClosedError` when draining/stopped, and
+        Raises ``ValueError`` for an ``nprocs`` that is not a positive
+        perfect square and ``TypeError`` for a submission that is neither
+        a matrix nor a spec string, both before the request is accepted;
+        :class:`ServiceOverloadedError` when admission control rejects,
+        :class:`ServiceClosedError` when draining/stopped, and
         :class:`RequestFailedError` when the computation itself fails.
         """
         t0 = time.perf_counter()
         self.stats.submitted += 1
         if not self._accepting:
             raise ServiceClosedError("service is not accepting submissions")
+        check_nprocs(nprocs)
         key = request_key(matrix, nprocs)
         cached = self.cache.get(key)
         if cached is not None:
@@ -361,50 +367,36 @@ class ReorderingService:
     # Scheduler (the dispatching half)
     # ------------------------------------------------------------------
     async def _scheduler(self) -> None:
-        """Hand each job, in arrival order, the workers it needs."""
+        """Hand each job, in arrival order, the next idle worker."""
         while True:
             job = await self._queue.get()
-            # a distributed job's supersteps address the whole pool
-            need = 1 if job.nprocs is None else self._pool.nworkers
-            workers = [await self._idle.get() for _ in range(need)]
-            task = asyncio.create_task(self._run(job, workers))
+            worker = await self._idle.get()
+            task = asyncio.create_task(self._run(job, worker))
             self._running.add(task)
             task.add_done_callback(self._running.discard)
 
-    async def _run(self, job: _Job, workers: list[int]) -> None:
-        """One attempt of ``job`` on ``workers``; settles or re-queues it."""
+    async def _run(self, job: _Job, worker: int) -> None:
+        """One attempt of ``job`` on ``worker``; settles or re-queues it."""
         self.stats.batches += 1
         dispatched_at = time.perf_counter()
         backoff = None
         try:
             try:
-                if job.nprocs is None:
-                    computed = await self._run_serial(job, workers[0], dispatched_at)
-                else:
-                    computed = await asyncio.to_thread(
-                        self._run_distributed, job, dispatched_at
-                    )
-                self._finish(job, computed)
+                self._finish(job, await self._compute(job, worker, dispatched_at))
             except WorkerCrashError as exc:
                 backoff = await self._recover(job, exc)
         except Exception as exc:
             # a job that fails fails alone; the scheduler keeps serving
             self._fail(job, RequestFailedError(f"{type(exc).__name__}: {exc}"))
         finally:
-            for w in workers:
-                self._idle.put_nowait(w)
+            self._idle.put_nowait(worker)
         if backoff is not None:
             await asyncio.sleep(backoff)
             self._queue.put_nowait(job)
 
-    # ------------------------------------------------------------------
-    # Lanes
-    # ------------------------------------------------------------------
-    async def _run_serial(
-        self, job: _Job, worker: int, dispatched_at: float
-    ) -> _Computed:
-        """The serial lane: one request on one worker."""
-        payload = encode_request(job.matrix, self.config.scale)
+    async def _compute(self, job: _Job, worker: int, dispatched_at: float) -> _Computed:
+        """One request, serial or distributed, as one call on one worker."""
+        payload = encode_request(job.matrix, job.nprocs, self.config.scale)
         t0 = time.perf_counter()
         perm, algorithm, n, regions, cost_seconds = await asyncio.to_thread(
             self._pool.call, worker, "service_rcm", payload
@@ -413,54 +405,13 @@ class ReorderingService:
             perm=perm,
             algorithm=algorithm,
             n=n,
-            lane="serial",
+            lane="serial" if job.nprocs is None else f"distributed-p{job.nprocs}",
             compute_ms=(time.perf_counter() - t0) * 1000.0,
             queue_ms=(dispatched_at - job.enqueued_at) * 1000.0,
             cost_seconds=cost_seconds,
             cost_regions=regions,
             retries=job.retries,
         )
-
-    def _run_distributed(self, job: _Job, dispatched_at: float) -> _Computed:
-        """The distributed lane: runs in a thread, on the shared pool."""
-        from .hashing import build_spec
-
-        matrix = job.matrix
-        if isinstance(matrix, str):
-            matrix = build_spec(matrix, self.config.scale)
-        ctx = self._dist_ctx(job.nprocs)
-        t0 = time.perf_counter()
-        result = _rcm_distributed()(matrix, ctx=ctx.fork_ledger())
-        compute_ms = (time.perf_counter() - t0) * 1000.0
-        return _Computed(
-            perm=result.ordering.perm,
-            algorithm=result.ordering.algorithm,
-            n=matrix.nrows,
-            lane=f"distributed-p{job.nprocs}",
-            compute_ms=compute_ms,
-            queue_ms=(dispatched_at - job.enqueued_at) * 1000.0,
-            # modeled charges arrive as numpy scalars; plain floats keep
-            # results JSON-serializable end to end (the TCP front-end)
-            cost_seconds=float(result.ledger.total_seconds),
-            cost_regions={
-                k: float(v) for k, v in result.ledger.breakdown().items()
-            },
-            retries=job.retries,
-        )
-
-    def _dist_ctx(self, nprocs: int):
-        """Warmed processes-engine context per grid size (shared pool)."""
-        ctx = self._dist_ctxs.get(nprocs)
-        if ctx is None:
-            from ..distributed.context import DistContext
-            from ..machine.grid import ProcessGrid
-
-            ctx = DistContext(
-                ProcessGrid.square(nprocs), engine="processes", pool=self._pool
-            )
-            ctx.warm()
-            self._dist_ctxs[nprocs] = ctx
-        return ctx
 
     # ------------------------------------------------------------------
     # Completion, failure, crash recovery
@@ -521,13 +472,6 @@ class ReorderingService:
             return None
         self.stats.retried += 1
         return self.config.retry_backoff_ms * (2 ** (job.retries - 1)) / 1000.0
-
-
-def _rcm_distributed():
-    """Late import: the distributed driver pulls in the whole layer."""
-    from ..distributed.rcm import rcm_distributed
-
-    return rcm_distributed
 
 
 class ServiceClient:

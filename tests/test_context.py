@@ -45,16 +45,6 @@ def test_threads_divide_compute_time():
     assert c6.ledger.total_seconds < c1.ledger.total_seconds
 
 
-def test_fork_ledger_isolates():
-    ctx = DistContext(ProcessGrid(2, 2), edison())
-    ctx.charge_compute("r", [100])
-    forked = ctx.fork_ledger()
-    assert forked.ledger.total_seconds == 0.0
-    assert forked.grid is ctx.grid
-    assert forked.machine is ctx.machine
-    assert ctx.ledger.total_seconds > 0.0
-
-
 def test_explicit_ledger_used():
     ledger = CostLedger()
     ctx = DistContext(ProcessGrid(1, 1), edison(), ledger)

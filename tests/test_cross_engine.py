@@ -276,16 +276,6 @@ def test_context_owns_pool_and_closes_it():
             pytest.fail("context-owned pool leaked workers")
 
 
-def test_fork_ledger_preserves_engine(pool):
-    ctx = DistContext(ProcessGrid(1, 2), engine="processes", pool=pool)
-    forked = ctx.fork_ledger()
-    assert forked.engine_name == "processes"
-    assert forked.pool is pool
-    assert forked.ledger is not ctx.ledger
-    forked.close()  # shared pool: close must be a no-op
-    pool.ping()
-
-
 def test_worker_crash_mid_run_raises_and_tears_down():
     ctx = DistContext(ProcessGrid(1, 2), engine="processes", procs=2)
     os.kill(ctx.pool.pids[0], signal.SIGKILL)
@@ -296,3 +286,26 @@ def test_worker_crash_mid_run_raises_and_tears_down():
             rcm_distributed(A, ctx=ctx)
             time.sleep(0.05)
     ctx.close()  # teardown after a crash must not raise
+
+
+@pytest.mark.faults
+def test_repaired_pool_reruns_a_pre_distributed_matrix():
+    # repair() empties the replaced worker's object store, so the next
+    # run must re-scatter the rank-resident blocks onto it
+    from repro import faults
+
+    A = PAPER_SUITE["nd24k"].build(1.0)
+    expect = rcm_distributed(A, nprocs=4).ordering.perm
+    pool = WorkerPool(2)
+    try:
+        ctx = DistContext(ProcessGrid.square(4), engine="processes", pool=pool)
+        dA = DistSparseMatrix.from_csr(ctx, A)
+        assert np.array_equal(rcm_distributed(dA).ordering.perm, expect)
+        faults.arm("worker.crash:hit=1")
+        with pytest.raises(WorkerCrashError):
+            rcm_distributed(dA)
+        faults.reset()
+        assert pool.repair()  # the crashed worker was replaced
+        assert np.array_equal(rcm_distributed(dA).ordering.perm, expect)
+    finally:
+        pool.close()

@@ -8,10 +8,10 @@ library actually outputs.  Orderings are pinned as the blake2b-128
 digest of the int64 permutation bytes, the same digest ``perfbench``
 pins for its road and rmat workloads; the compressed layouts one
 matrix is stored in (its CSR and its p=16 CSC blocks) are pinned the
-same way, array by array.  On the zoo inputs the pseudo-peripheral
-search is pinned too (roots, levels per component, sweep count, for
-``rcm()`` and ``rcm(A, nprocs=16)``), with the ordering's bandwidth and
-profile.  Modeled ledgers are pinned exactly, per Fig. 4 region, for
+same way, array by array.  On the suite surrogates and the zoo inputs
+the pseudo-peripheral search is pinned too (roots, levels per
+component, sweep count, for ``rcm()`` and for ``rcm(A, nprocs=4)`` or
+``rcm(A, nprocs=16)``), with the ordering's bandwidth and profile.  Modeled ledgers are pinned exactly, per Fig. 4 region, for
 ``rcm_distributed`` at p=16.
 
 Regenerate a pin only for a deliberate change of the ordering, the
@@ -31,18 +31,85 @@ from repro.distributed.rcm import rcm_distributed
 from repro.machine import ProcessGrid
 from repro.matrices import PAPER_SUITE, disconnected_union, path_graph, stencil_2d
 from repro.matrices.random_graphs import rmat, road_mesh
+from repro.matrices.zoo import zoo_entry
 from tests.conftest import csr_from_edges
 
+#: ``rcm(A)`` on each suite surrogate at scale 1.0: (permutation digest,
+#: roots digest, levels-per-component digest, pseudo-peripheral BFS
+#: sweeps, bandwidth, profile), digested as in ``ZOO_DIGESTS``.
 SUITE_DIGESTS = {
-    "nd24k": "10469a52d704d5ec0779cff2058ac968",
-    "ldoor": "43b05a9b3ae9d54f1491f8bed0b620ff",
-    "serena": "eaf6a9084c6dff32f233b30172eca6e2",
-    "audikw_1": "af3ec136111ad819f4ccd13443f98ed8",
-    "dielFilterV3real": "ca03f9905f838504cfc441a51c7676c0",
-    "flan_1565": "5df01b6ab9f73b700844533dccb7ff67",
-    "li7nmax6": "f8920aa249e2f6900d782a49237242b8",
-    "nm7": "a0fd9f93ca7945c4eb34da4bdb6ad01b",
-    "nlpkkt240": "60f916c77d165d488003b720e7408153",
+    "nd24k": (
+        "10469a52d704d5ec0779cff2058ac968",
+        "1e2f81535aad40e59a25efa628139063",
+        "fd0bf8a9a9ca3ecbf289eaea6cdaf22a",
+        3,
+        469,
+        522132,
+    ),
+    "ldoor": (
+        "43b05a9b3ae9d54f1491f8bed0b620ff",
+        "fc8ba0ab654cd8c7c3afc988b29bdaea",
+        "64c38acb74becec498744921283eaf5d",
+        3,
+        23,
+        26481,
+    ),
+    "serena": (
+        "eaf6a9084c6dff32f233b30172eca6e2",
+        "c804ce198ec337e3dc762bdd1a09aece",
+        "7aad9633adf149d874ef30183b8ea068",
+        2,
+        81,
+        171177,
+    ),
+    "audikw_1": (
+        "af3ec136111ad819f4ccd13443f98ed8",
+        "1bd0836694b55d0d1ac1f2f47e018175",
+        "cb4f0866e2539eb7401eeb6a0416d0ae",
+        3,
+        140,
+        127060,
+    ),
+    "dielFilterV3real": (
+        "ca03f9905f838504cfc441a51c7676c0",
+        "d7810a7630c25f740f0128a4af9290e9",
+        "6ce1eb763dc50824788de55794eaa57f",
+        3,
+        169,
+        189851,
+    ),
+    "flan_1565": (
+        "5df01b6ab9f73b700844533dccb7ff67",
+        "c804ce198ec337e3dc762bdd1a09aece",
+        "515376ac97cdf9e73c63458d1d01b5b3",
+        2,
+        20,
+        39264,
+    ),
+    "li7nmax6": (
+        "f8920aa249e2f6900d782a49237242b8",
+        "c804ce198ec337e3dc762bdd1a09aece",
+        "a4f5ced6668957bb2a9a954e7e50f5b5",
+        2,
+        1197,
+        420521,
+    ),
+    "nm7": (
+        "a0fd9f93ca7945c4eb34da4bdb6ad01b",
+        "c804ce198ec337e3dc762bdd1a09aece",
+        "a4f5ced6668957bb2a9a954e7e50f5b5",
+        2,
+        1648,
+        1139721,
+    ),
+    "nlpkkt240": (
+        "60f916c77d165d488003b720e7408153",
+        "611317f396b3a1582a759eeb18e31a10",
+        "5736a4d09bd520fc39c5cc2aa77d3e47",
+        3,
+        96,
+        249145,
+    ),
 }
 
 
@@ -81,6 +148,15 @@ ZOO_DIGESTS = {
         631,
         16625144,
     ),
+    "bipartite-aat-small": (
+        lambda: zoo_entry("bipartite-aat-small").build(),
+        "ff3bcd37b639e3e132d55546a2c7e173",
+        "f5fe3627336c9c1fb07044b20a695e2e",
+        "012c2e0610d3780461ae76e06d0f29b2",
+        43,
+        11465,
+        91684588,
+    ),
     "disconnected": (
         _disconnected_with_isolated,
         "eaa8e3ea667306943564cc42a7fb1028",
@@ -106,13 +182,6 @@ def test_suite_is_covered():
     assert set(SUITE_DIGESTS) == set(PAPER_SUITE)
 
 
-@pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
-def test_suite_golden(name):
-    A = PAPER_SUITE[name].build(1.0)
-    assert perm_digest(rcm(A).perm) == SUITE_DIGESTS[name]
-    assert perm_digest(rcm(A, nprocs=4).perm) == SUITE_DIGESTS[name]
-
-
 def search_digests(ordering) -> tuple[str, str, int]:
     """The roots and levels-per-component digests and the sweep count."""
     return (
@@ -120,6 +189,20 @@ def search_digests(ordering) -> tuple[str, str, int]:
         array_digest(np.asarray(ordering.levels_per_component, dtype=np.int64)),
         ordering.peripheral_bfs_count,
     )
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DIGESTS))
+def test_suite_golden(name):
+    digest, roots, levels, sweeps, bandwidth, profile = SUITE_DIGESTS[name]
+    A = PAPER_SUITE[name].build(1.0)
+    ordering = rcm(A)
+    assert perm_digest(ordering.perm) == digest
+    assert search_digests(ordering) == (roots, levels, sweeps)
+    assert bandwidth_of_permutation(A, ordering.perm) == bandwidth
+    assert profile_of_permutation(A, ordering.perm) == profile
+    dist = rcm(A, nprocs=4)
+    assert perm_digest(dist.perm) == digest
+    assert search_digests(dist) == (roots, levels, sweeps)
 
 
 @pytest.mark.parametrize("name", sorted(ZOO_DIGESTS))
@@ -258,9 +341,10 @@ FIG4_REGIONS = (
 #: messages, words, operations).  The road and rmat runs cover push
 #: supersteps and the bucket sort; the adaptive li7nmax6 run covers pull
 #: supersteps, the mask Allgather and the degree-sum Allreduces; the
-#: serena run covers the samplesort; the disconnected run covers one
-#: pseudo-peripheral search and ordering sweep per component, isolated
-#: vertices included.
+#: serena run covers the samplesort; the disconnected and
+#: bipartite-aat-small runs (the latter has 41 components, 40 of them
+#: isolated vertices) cover one pseudo-peripheral search and ordering
+#: sweep per component, isolated vertices included.
 LEDGER_PINS = {
     "road256": (
         lambda: road_mesh(256, 256, seed=3),
@@ -304,6 +388,17 @@ LEDGER_PINS = {
             (3.348124999999998e-05, 0.0007090479999999998, 3680, 25156, 18668),
             (1.5864457154288277e-05, 0.005147015999999998, 27360, 98433, 17003),
             (7.646874999999996e-06, 0.000552736, 2944, 5888, 9717),
+        ),
+    ),
+    "bipartite-aat-small": (
+        lambda: zoo_entry("bipartite-aat-small").build(),
+        {},
+        (
+            (0.00019775312500000004, 0.0010662179999999981, 5040, 939316, 981590),
+            (0.000177365625, 0.0017676959999999955, 9408, 29568, 895720),
+            (6.695312500000001e-05, 0.0007611699999999995, 3840, 317314, 329249),
+            (0.0001633529140789131, 0.0007434900000000001, 3808, 83395, 49029),
+            (1.5565624999999933e-05, 0.000576768, 3072, 6144, 75537),
         ),
     ),
     "disconnected": (

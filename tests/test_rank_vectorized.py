@@ -219,12 +219,6 @@ def test_rcm_sort_impls_identical(sort_impl, grid8x8):
     assert_ledgers_identical(res_v.ledger, res_o.ledger)
 
 
-def test_fork_ledger_preserves_rank_vectorized():
-    ctx = DistContext(ProcessGrid(2, 2), rank_vectorized=False)
-    assert ctx.fork_ledger().rank_vectorized is False
-    assert DistContext(ProcessGrid(2, 2)).fork_ledger().rank_vectorized is True
-
-
 # ----------------------------------------------------------------------
 # Satellite: SpMSpV wire format keeps int64 indices intact
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.rcm_serial import rcm_serial
+from repro.distributed.rcm import rcm_distributed
 from repro.matrices.suite import PAPER_SUITE
 from repro.service import (
     ReorderingService,
@@ -138,6 +139,10 @@ def test_distributed_lane_bit_identical_with_modeled_ledger():
             assert r.cost_regions and r.cost_seconds > 0.0
             assert all(type(v) is float for v in r.cost_regions.values())
             assert type(r.cost_seconds) is float
+            assert r.cost_regions == {
+                k: float(v)
+                for k, v in rcm_distributed(A, nprocs=4).ledger.breakdown().items()
+            }
 
     run(go())
 
@@ -292,6 +297,17 @@ def test_invalid_submission_type_raises_synchronously():
     run(go())
 
 
+@pytest.mark.parametrize("nprocs", [3, 0, -4, 4.0, True])
+def test_invalid_nprocs_is_rejected_before_it_is_accepted(nprocs):
+    async def go():
+        async with ReorderingService(ServiceConfig(workers=1)) as svc:
+            with pytest.raises(ValueError, match="perfect square"):
+                await svc.submit(ladder(), nprocs=nprocs)
+            assert svc.stats.accepted == 0 and svc.stats.batches == 0
+
+    run(go())
+
+
 def test_small_request_does_not_wait_for_a_large_one():
     # each serial request runs on its own idle worker and resolves when
     # that worker replies, not when the slowest request sent with it does
@@ -302,6 +318,26 @@ def test_small_request_does_not_wait_for_a_large_one():
     async def go():
         async with ReorderingService(ServiceConfig(workers=2)) as svc:
             big = asyncio.create_task(svc.submit(large))
+            little = asyncio.create_task(svc.submit(small))
+            done, _ = await asyncio.wait(
+                {big, little}, return_when=asyncio.FIRST_COMPLETED
+            )
+            assert done == {little} and not big.done()
+            assert np.array_equal(little.result().perm, rcm_serial(small).perm)
+            assert np.array_equal((await big).perm, rcm_serial(large).perm)
+
+    run(go())
+
+
+def test_serial_request_does_not_wait_for_a_distributed_one():
+    # a distributed request holds one worker, like a serial one
+    from repro.matrices import road_mesh, stencil_2d
+
+    large, small = road_mesh(128, 128), stencil_2d(12, 12)
+
+    async def go():
+        async with ReorderingService(ServiceConfig(workers=2)) as svc:
+            big = asyncio.create_task(svc.submit(large, nprocs=4))
             little = asyncio.create_task(svc.submit(small))
             done, _ = await asyncio.wait(
                 {big, little}, return_when=asyncio.FIRST_COMPLETED
@@ -407,6 +443,41 @@ def test_tcp_server_end_to_end():
             # stats request
             resp = await _tcp_roundtrip(reader, writer, {"stats": True})
             assert resp["ok"] and resp["stats"]["computed"] >= 2
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await service.stop()
+
+    run(go())
+
+
+def test_tcp_invalid_nprocs_gets_400_and_connection_survives():
+    from repro.service.serve import start_service_server
+
+    A = PAPER_SUITE["nd24k"].build(1.0)
+
+    async def go():
+        server, service = await start_service_server(
+            ServiceConfig(workers=1), port=0
+        )
+        host, port = server.sockets[0].getsockname()[:2]
+        reader, writer = await asyncio.open_connection(host, port, limit=1 << 22)
+        try:
+            for rid, nprocs in enumerate([3, 0, -4, 4.5, "4", True]):
+                resp = await _tcp_roundtrip(
+                    reader, writer, {"id": rid, "matrix": "nd24k", "nprocs": nprocs}
+                )
+                assert not resp["ok"] and resp["status"] == 400, resp
+                assert "perfect square" in resp["error"]
+            assert service.stats.accepted == 0 and service.stats.batches == 0
+            # the connection survives: a valid distributed request works
+            resp = await _tcp_roundtrip(
+                reader, writer, {"id": 9, "matrix": "nd24k", "nprocs": 4}
+            )
+            assert resp["ok"] and resp["lane"] == "distributed-p4"
+            assert resp["perm"] == rcm_serial(A).perm.tolist()
         finally:
             writer.close()
             await writer.wait_closed()

@@ -101,8 +101,9 @@ def test_crash_mid_distributed_request_recovers():
             assert r.lane == "distributed-p4"
             assert r.retries >= 1
             assert svc.stats.worker_crashes >= 1
-            # the repaired pool serves the distributed lane again (the
-            # rank-resident blocks re-scatter onto the fresh workers)
+            # the repaired pool serves the distributed lane again (each
+            # request runs the simulated machine inside one worker, so
+            # nothing rank-resident needs re-scattering onto the fresh one)
             r2 = await svc.submit(A, nprocs=4)
             assert r2.cache_hit
             B = PAPER_SUITE["serena"].build(1.0)
